@@ -134,11 +134,47 @@ func (c *Circuit) Depth() int {
 }
 
 // Layers groups gate indices into ASAP time steps: layer t holds the gates
-// scheduled at depth t+1. Barriers are skipped (they only synchronize).
+// scheduled at depth t+1, in program order. Barriers are skipped (they only
+// synchronize). The layers are capacity-capped views of one backing array.
 func (c *Circuit) Layers() [][]int {
-	level := make([]int, c.NQubits)
-	var layers [][]int
-	for i, g := range c.Gates {
+	layerOf, n := c.LayerOf(make([]int, 0, len(c.Gates)), make([]int, c.NQubits))
+	if n == 0 {
+		return nil
+	}
+	// off[t] counts, then offsets, layer t's slots in flat.
+	off := make([]int, n+1)
+	for _, t := range layerOf {
+		if t >= 0 {
+			off[t+1]++
+		}
+	}
+	for t := 0; t < n; t++ {
+		off[t+1] += off[t]
+	}
+	flat := make([]int, off[n])
+	layers := make([][]int, n)
+	for t := range layers {
+		layers[t] = flat[off[t]:off[t]:off[t+1]]
+	}
+	for i, t := range layerOf {
+		if t >= 0 {
+			layers[t] = append(layers[t], i)
+		}
+	}
+	return layers
+}
+
+// LayerOf appends to dst the ASAP time step of every gate — gate i runs at
+// step dst[i] (0-based; -1 for a barrier, which only synchronizes) — and
+// returns the extended slice and the number of steps. level is per-qubit
+// scratch of at least NQubits entries; it is overwritten. It is the
+// schedule Depth measures, shared by Layers and the router's layer plan.
+func (c *Circuit) LayerOf(dst, level []int) ([]int, int) {
+	level = level[:c.NQubits]
+	clear(level)
+	steps := 0
+	for _, g := range c.Gates {
+		t := -1
 		switch g.Arity() {
 		case 0:
 			max := 0
@@ -150,29 +186,23 @@ func (c *Circuit) Layers() [][]int {
 			for j := range level {
 				level[j] = max
 			}
-			continue
 		case 1:
 			level[g.Q0]++
-			layers = placeAt(layers, level[g.Q0]-1, i)
+			t = level[g.Q0] - 1
 		case 2:
 			l := level[g.Q0]
 			if level[g.Q1] > l {
 				l = level[g.Q1]
 			}
-			l++
-			level[g.Q0], level[g.Q1] = l, l
-			layers = placeAt(layers, l-1, i)
+			level[g.Q0], level[g.Q1] = l+1, l+1
+			t = l
 		}
+		if t >= steps {
+			steps = t + 1
+		}
+		dst = append(dst, t)
 	}
-	return layers
-}
-
-func placeAt(layers [][]int, t, gate int) [][]int {
-	for len(layers) <= t {
-		layers = append(layers, nil)
-	}
-	layers[t] = append(layers[t], gate)
-	return layers
+	return dst, steps
 }
 
 // MeasureAll appends a measurement on every qubit.

@@ -30,7 +30,12 @@ func (c *Circuit) Decompose(basis Basis) *Circuit {
 	if basis != BasisIBM {
 		panic("circuit: unknown basis")
 	}
+	n := 0
+	for _, g := range c.Gates {
+		n += nativeLen(g.Kind)
+	}
 	out := New(c.NQubits)
+	out.Gates = make([]Gate, 0, n)
 	for _, g := range c.Gates {
 		switch g.Kind {
 		case H:
@@ -74,6 +79,18 @@ func (c *Circuit) Decompose(basis Basis) *Circuit {
 		}
 	}
 	return out
+}
+
+// nativeLen is the number of BasisIBM gates Decompose emits for kind k.
+func nativeLen(k Kind) int {
+	switch k {
+	case CZ, CPhase, Swap:
+		return 3
+	case Barrier:
+		return 0
+	default:
+		return 1
+	}
 }
 
 // NativeCNOTCost returns how many native CNOTs the gate kind costs after

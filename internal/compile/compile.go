@@ -3,7 +3,7 @@ package compile
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/circuit"
@@ -254,6 +254,8 @@ func compileWhole(ctx context.Context, spec Spec, dev *device.Device, initial *r
 	o.Trace.BeginPass(StageOrder)
 	orderStart := time.Now() //lint:allow determinism: measured pass span, stripped by the gates
 	logical := circuit.New(spec.N)
+	fixed, _ := fixedGates(spec, o.Measure)
+	logical.Gates = make([]circuit.Gate, 0, fixed)
 	for q := 0; q < spec.N; q++ {
 		logical.Append(circuit.NewH(q))
 	}
@@ -328,6 +330,10 @@ func compileIncremental(ctx context.Context, spec Spec, dev *device.Device, init
 
 	n := spec.N
 	out := circuit.New(dev.NQubits())
+	// Every gate but the SWAPs is known up front; allow one SWAP per ZZ
+	// term, which covers typical routing without a regrow.
+	fixed, zz := fixedGates(spec, o.Measure)
+	out.Gates = make([]circuit.Gate, 0, fixed+zz)
 	layout := initial.Clone()
 	swaps := 0
 	layerIdx := 0
@@ -338,23 +344,31 @@ func compileIncremental(ctx context.Context, spec Spec, dev *device.Device, init
 		out.Append(circuit.NewH(layout.Phys(q)))
 	}
 
-	// Layer-formation scratch, reused across every pack of the compile:
-	// the occupancy flags, the packed-layer buffer, and the single-layer
-	// partial circuit (the router copies what it needs out of it).
-	occupied := make([]bool, n)
-	var layerBuf []ZZTerm
-	partial := circuit.New(n)
+	// Layer-formation scratch, reused across every pack of the compile, at
+	// its high-water sizes: a level's terms, and a matching's worth of
+	// terms per layer. remainingBuf holds the level's unplaced terms; the
+	// single-layer partial circuit is copied out by the router.
+	maxZZ := 0
+	for _, level := range spec.Levels {
+		maxZZ = max(maxZZ, len(level.ZZ))
+	}
+	lf := layerFormer{
+		occupied: make([]bool, n),
+		layer:    make([]ZZTerm, 0, n/2),
+		sorted:   make([]keyedTerm, 0, maxZZ),
+	}
+	remainingBuf := make([]ZZTerm, 0, maxZZ)
+	partial := &circuit.Circuit{NQubits: n, Gates: make([]circuit.Gate, 0, n/2)}
 	for li, level := range spec.Levels {
 		emitLocals(out, level, layout.Phys)
-		remaining := append([]ZZTerm(nil), level.ZZ...)
+		remaining := append(remainingBuf[:0], level.ZZ...)
 		for len(remaining) > 0 {
 			if err := checkpoint(ctx, StageRoute, o.Hook); err != nil {
 				return nil, err
 			}
 			o.Trace.BeginPass(StageOrder)
 			orderStart := time.Now() //lint:allow determinism: measured pass span, stripped by the gates
-			layer, rest := nextIncrementalLayer(remaining, layout, dist, o, occupied, layerBuf)
-			layerBuf = layer // keep the high-water scratch for the next pack
+			layer, rest := lf.next(remaining, layout, dist, o)
 			// Route the single-layer partial circuit from the live layout.
 			partial.Gates = partial.Gates[:0]
 			for _, t := range layer {
@@ -385,6 +399,10 @@ func compileIncremental(ctx context.Context, spec Spec, dev *device.Device, init
 					Swaps: routed.SwapCount,
 				})
 			}
+			// Stitched: the routed gates now live in out, and the routed
+			// layout supersedes the one this pack started from.
+			routed.ReleaseCircuit()
+			layout.Release()
 			layerIdx++
 			layout = routed.Final
 			swaps += routed.SwapCount
@@ -400,6 +418,7 @@ func compileIncremental(ctx context.Context, spec Spec, dev *device.Device, init
 			out.Append(circuit.NewMeasure(layout.Phys(q)))
 		}
 	}
+	o.Obs.Add(obsv.CntCompileOrderKeyed, lf.keyed)
 	return &Result{
 		Circuit:   out,
 		Initial:   initial,
@@ -422,25 +441,77 @@ func traceLayer(index, level int, layer, rest []ZZTerm, layout *router.Layout, d
 	return trace.LayerInfo{Index: index, Level: level, Terms: terms, Deferred: len(rest)}
 }
 
-// nextIncrementalLayer sorts the remaining ZZ terms by the current physical
-// distance of their endpoints (ascending, ties random) and packs one layer
-// greedily. The layer lands in layerBuf's storage and the deferred terms are
-// compacted into remaining's own storage (safe: the write cursor never
-// passes the read cursor), so the packing loop allocates nothing once the
-// caller's scratch reaches its high-water mark. occupied is caller-owned
-// per-logical-qubit scratch, handed back all-false.
-func nextIncrementalLayer(remaining []ZZTerm, layout *router.Layout, dist *graphs.DistanceMatrix, o Options, occupied []bool, layerBuf []ZZTerm) (layer, rest []ZZTerm) {
+// fixedGates counts the gates a compilation emits besides SWAPs — the H
+// layer, every level's nonzero RZ phases, ZZ terms and mixer, and the
+// measurements — and, separately, the ZZ terms alone.
+func fixedGates(spec Spec, measure bool) (fixed, zz int) {
+	fixed = spec.N
+	for _, level := range spec.Levels {
+		for _, theta := range level.Local {
+			if theta != 0 {
+				fixed++
+			}
+		}
+		zz += len(level.ZZ)
+		fixed += len(level.ZZ) + spec.N
+	}
+	if measure {
+		fixed += spec.N
+	}
+	return fixed, zz
+}
+
+// keyedTerm is a ZZ term with its layer-formation sort key: the current
+// physical distance between its endpoints.
+type keyedTerm struct {
+	d float64
+	t ZZTerm
+}
+
+// layerFormer is IC/VIC layer formation's storage, reused across every pack
+// of one compile: the per-logical-qubit occupancy flags (all false between
+// packs), the packed-layer buffer and the keyed sort scratch. keyed counts
+// the terms keyed so far (compile/order_terms_keyed).
+type layerFormer struct {
+	occupied []bool
+	layer    []ZZTerm
+	sorted   []keyedTerm
+	keyed    int64
+}
+
+// next sorts the remaining ZZ terms by the current physical distance of
+// their endpoints (ascending, ties random) and packs one layer greedily.
+// Each term's distance is computed once into the keyed scratch before a
+// stable sort on the key; a stable sort's output is fixed by the keys and
+// the input order, so this matches sorting with a comparator that looks
+// the distances up per comparison. The layer lands in the former's buffer
+// (valid until the next call) and the deferred terms are compacted into
+// remaining's own storage, so a pack allocates nothing once the scratch
+// reaches its high-water mark.
+func (lf *layerFormer) next(remaining []ZZTerm, layout *router.Layout, dist *graphs.DistanceMatrix, o Options) (layer, rest []ZZTerm) {
 	o.Rng.Shuffle(len(remaining), func(i, j int) {
 		remaining[i], remaining[j] = remaining[j], remaining[i]
 	})
-	sort.SliceStable(remaining, func(a, b int) bool {
-		da := dist.Dist(layout.Phys(remaining[a].U), layout.Phys(remaining[a].V))
-		db := dist.Dist(layout.Phys(remaining[b].U), layout.Phys(remaining[b].V))
-		return da < db
-	})
-	layer = layerBuf[:0]
-	rest = remaining[:0]
+	sorted := lf.sorted[:0]
 	for _, t := range remaining {
+		sorted = append(sorted, keyedTerm{d: dist.Dist(layout.Phys(t.U), layout.Phys(t.V)), t: t})
+	}
+	lf.sorted = sorted
+	lf.keyed += int64(len(sorted))
+	slices.SortStableFunc(sorted, func(a, b keyedTerm) int {
+		switch {
+		case a.d < b.d:
+			return -1
+		case b.d < a.d:
+			return 1
+		}
+		return 0
+	})
+	occupied := lf.occupied
+	layer = lf.layer[:0]
+	rest = remaining[:0]
+	for _, k := range sorted {
+		t := k.t
 		if (o.PackingLimit > 0 && len(layer) >= o.PackingLimit) ||
 			occupied[t.U] || occupied[t.V] {
 			rest = append(rest, t)
@@ -452,5 +523,6 @@ func nextIncrementalLayer(remaining []ZZTerm, layout *router.Layout, dist *graph
 	for _, t := range layer {
 		occupied[t.U], occupied[t.V] = false, false
 	}
+	lf.layer = layer
 	return layer, rest
 }

@@ -52,11 +52,9 @@ func IPTermLayers(n int, terms []ZZTerm, rng *rand.Rand, packingLimit int) [][]Z
 		})
 
 		// MOQ empty layers of qubit bins; first-fit decreasing.
+		// occupied[li*n+q] marks qubit q busy in layer li.
 		round := make([][]ZZTerm, moq)
-		occupied := make([]map[int]bool, moq)
-		for i := range occupied {
-			occupied[i] = make(map[int]bool)
-		}
+		occupied := make([]bool, moq*n)
 		var unassigned []ZZTerm
 		for _, t := range pending {
 			placed := false
@@ -64,9 +62,10 @@ func IPTermLayers(n int, terms []ZZTerm, rng *rand.Rand, packingLimit int) [][]Z
 				if packingLimit > 0 && len(round[li]) >= packingLimit {
 					continue
 				}
-				if !occupied[li][t.U] && !occupied[li][t.V] {
+				busy := occupied[li*n : (li+1)*n]
+				if !busy[t.U] && !busy[t.V] {
 					round[li] = append(round[li], t)
-					occupied[li][t.U], occupied[li][t.V] = true, true
+					busy[t.U], busy[t.V] = true, true
 					placed = true
 					break
 				}

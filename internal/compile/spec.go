@@ -58,13 +58,34 @@ func (s Spec) Validate() error {
 // InteractionGraph returns the union of all ZZ pairs across levels — the
 // graph the mapping passes (QAIM, GreedyV) profile.
 func (s Spec) InteractionGraph() *graphs.Graph {
-	g := graphs.New(s.N)
+	// Every level usually repeats the same pairs: collect the distinct
+	// ones in first-occurrence order, then build the graph at its final
+	// size in one pass.
+	seen := make([]bool, s.N*s.N)
+	var edges []graphs.Edge
+	if len(s.Levels) > 0 {
+		edges = make([]graphs.Edge, 0, len(s.Levels[0].ZZ))
+	}
 	for _, l := range s.Levels {
 		for _, t := range l.ZZ {
-			if !g.HasEdge(t.U, t.V) {
-				g.MustAddEdge(t.U, t.V)
+			u, v := t.U, t.V
+			if u > v {
+				u, v = v, u
+			}
+			if u < 0 || v >= s.N || u == v {
+				// Invalid: NewFromEdges reports it as AddEdge would.
+				edges = append(edges, graphs.Edge{U: t.U, V: t.V, Weight: 1})
+				continue
+			}
+			if !seen[u*s.N+v] {
+				seen[u*s.N+v] = true
+				edges = append(edges, graphs.Edge{U: u, V: v, Weight: 1})
 			}
 		}
+	}
+	g, err := graphs.NewFromEdges(s.N, edges)
+	if err != nil {
+		panic(err)
 	}
 	return g
 }

@@ -63,11 +63,54 @@ func New(n int) *Graph {
 	}
 }
 
+// NewFromEdges returns the graph on n vertices holding edges, added in
+// order. The result is the graph New followed by one AddWeightedEdge per
+// edge would build — same edge order, same sorted adjacency, same error on
+// the first invalid edge — but every adjacency list, the edge list and the
+// edge index are allocated once at their final sizes instead of grown edge
+// by edge. The adjacency lists are capacity-capped views of one backing
+// array, so a later AddEdge reallocates the one list it grows.
+func NewFromEdges(n int, edges []Edge) (*Graph, error) {
+	if n < 0 {
+		panic("graphs: negative vertex count")
+	}
+	off := make([]int, n+1)
+	for _, e := range edges {
+		if e.U >= 0 && e.U < n && e.V >= 0 && e.V < n && e.U != e.V {
+			off[e.U+1]++
+			off[e.V+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	g := &Graph{
+		n:     n,
+		adj:   make([][]int, n),
+		index: make(map[[2]int]int, len(edges)),
+	}
+	if len(edges) > 0 {
+		g.edges = make([]Edge, 0, len(edges))
+	}
+	flat := make([]int, off[n])
+	for v := range g.adj {
+		if off[v+1] > off[v] { // isolated vertices keep nil lists, as New leaves them
+			g.adj[v] = flat[off[v]:off[v]:off[v+1]]
+		}
+	}
+	for _, e := range edges {
+		if err := g.AddWeightedEdge(e.U, e.V, e.Weight); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
+}
+
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	for _, e := range g.edges {
-		c.AddWeightedEdge(e.U, e.V, e.Weight)
+	c, err := NewFromEdges(g.n, g.edges)
+	if err != nil {
+		panic(err) // g's own edges are valid by construction
 	}
 	return c
 }

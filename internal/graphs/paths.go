@@ -1,6 +1,9 @@
 package graphs
 
-import "math"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // Inf is the distance reported between disconnected vertex pairs.
 var Inf = math.Inf(1)
@@ -10,10 +13,26 @@ var Inf = math.Inf(1)
 // Next[i][j] is the first hop on one such shortest path (-1 if none). The
 // matrix is produced once per hardware graph (Floyd–Warshall, as in the
 // paper) and consulted from memory during compilation.
+//
+// A matrix is read-only once built. That lets a consumer cache one value
+// derived from it on the matrix itself (Derived/SetDerived): the cached
+// value then lives exactly as long as the matrix, and dropping the matrix
+// — a device's InvalidateCaches, say — drops it too.
 type DistanceMatrix struct {
 	D    [][]float64
 	Next [][]int
+
+	derived atomic.Value
 }
+
+// Derived returns the value last cached by SetDerived, or nil. Safe for
+// concurrent use.
+func (m *DistanceMatrix) Derived() any { return m.derived.Load() }
+
+// SetDerived caches v, a read-only value computed from m, replacing any
+// earlier one. Every value stored on one matrix must have the same concrete
+// type. Safe for concurrent use.
+func (m *DistanceMatrix) SetDerived(v any) { m.derived.Store(v) }
 
 // FloydWarshall computes all-pairs shortest paths. If weighted is true, the
 // stored edge weights are used; otherwise every edge counts as 1 hop. The

@@ -45,6 +45,7 @@ const (
 	CntRouterForcedPaths   = "router/forced_paths"
 	CntRouterScoreEvals    = "router/score_evals"
 	CntCompileDistUpdates  = "compile/dist_updates"
+	CntCompileOrderKeyed   = "compile/order_terms_keyed"
 	CntDeviceHopDistBuilds = "device/hopdist_builds"
 	CntDeviceHopDistHits   = "device/hopdist_hits"
 	CntDeviceRelDistBuilds = "device/reldist_builds"
@@ -63,6 +64,7 @@ const (
 	CntSimIdealReuses      = "sim/ideal_reuses"
 	CntSimReplays          = "sim/replays"
 	CntSimReplayGates      = "sim/replay_gates"
+	CntSimReplayAmpOps     = "sim/replay_amp_ops"
 	CntSimCheckpoints      = "sim/checkpoints"
 	CntSimCutTableBuilds   = "sim/cut_table_builds"
 	CntTraceEvents         = "trace/events"
@@ -253,6 +255,7 @@ var registry = map[string]NameKind{
 	CntRouterForcedPaths:   KindCounter,
 	CntRouterScoreEvals:    KindCounter,
 	CntCompileDistUpdates:  KindCounter,
+	CntCompileOrderKeyed:   KindCounter,
 	CntDeviceHopDistBuilds: KindCounter,
 	CntDeviceHopDistHits:   KindCounter,
 	CntDeviceRelDistBuilds: KindCounter,
@@ -271,6 +274,7 @@ var registry = map[string]NameKind{
 	CntSimIdealReuses:      KindCounter,
 	CntSimReplays:          KindCounter,
 	CntSimReplayGates:      KindCounter,
+	CntSimReplayAmpOps:     KindCounter,
 	CntSimCheckpoints:      KindCounter,
 	CntSimCutTableBuilds:   KindCounter,
 	CntTraceEvents:         KindCounter,

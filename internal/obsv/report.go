@@ -311,7 +311,8 @@ type CompareOptions struct {
 
 // simWorkCounters are the simulator cost counters gated by Compare. They
 // are deterministic under fixed suite seeds — fused-op and amplitude-pass
-// counts, trajectory replays and replayed gates — so any increase is a
+// counts, trajectory replays, replayed gates and their amplitude ops — so
+// any increase is a
 // real algorithmic regression (e.g. lost fusion or checkpoint reuse), not
 // scheduling noise.
 var simWorkCounters = []string{
@@ -319,12 +320,14 @@ var simWorkCounters = []string{
 	CntSimAmpOps,
 	CntSimReplays,
 	CntSimReplayGates,
+	CntSimReplayAmpOps,
 }
 
 // compileWorkCounters are the compiler cost counters gated by Compare, the
 // compile-side mirror of simWorkCounters: stochastic trials run, SWAPs
-// inserted across all trials, candidate score evaluations and incremental
-// distance updates. All are pure functions of the suite seeds — immune to
+// inserted across all trials, candidate score evaluations, incremental
+// distance updates and the ZZ terms IC/VIC layer formation keys and sorts
+// per pack. All are pure functions of the suite seeds — immune to
 // machine speed and GOMAXPROCS — so the tight CountThreshold gate catches
 // algorithmic regressions (a lost incremental update, a widened candidate
 // scan) that the loose wall-clock backstop would miss.
@@ -333,6 +336,7 @@ var compileWorkCounters = []string{
 	CntRouterSwaps,
 	CntRouterScoreEvals,
 	CntCompileDistUpdates,
+	CntCompileOrderKeyed,
 }
 
 func (o CompareOptions) withDefaults() CompareOptions {

@@ -91,6 +91,12 @@ func getLayout(src *Layout) *Layout {
 // putLayout recycles a layout that no longer escapes.
 func putLayout(l *Layout) { layoutPool.Put(l) }
 
+// Release hands l's storage to the router's pool for a later routing call
+// to reuse. It is for a caller that owns l and is done with it — IC/VIC
+// stitching, once a routed final layout supersedes the pack's starting
+// one. l must not be used afterwards.
+func (l *Layout) Release() { putLayout(l) }
+
 // circuitPool recycles the routed-output circuits of stochastic routing
 // trials, the one remaining per-trial allocation of any size: only the
 // winning trial's circuit escapes to the caller, so the losers' gate

@@ -107,6 +107,14 @@ type Result struct {
 	SwapCount int
 }
 
+// ReleaseCircuit hands the routed circuit's gate buffer back to the
+// router's pool for a later routing call to reuse. It is for a caller that
+// has copied the gates out (IC/VIC stitching); r.Circuit is nil afterwards.
+func (r *Result) ReleaseCircuit() {
+	putCircuit(r.Circuit)
+	r.Circuit = nil
+}
+
 // Route compiles the logical circuit c onto the device starting from the
 // given initial layout (TrivialLayout when nil). The input gate order is
 // respected up to concurrency: gates are processed in ASAP layers. With
@@ -124,11 +132,16 @@ func (r *Router) RouteContext(ctx context.Context, c *circuit.Circuit, initial *
 		return nil, err
 	}
 	plan := buildPlan(c, r.LookaheadWeight > 0)
-	tab := buildDevTables(r.Dev, dist)
+	defer putPlan(plan)
+	tab := devTablesFor(r.Dev, dist)
+	var res *Result
 	if r.Trials > 1 {
-		return r.routeTrials(ctx, plan, initial, dist, tab)
+		res, err = r.routeTrials(ctx, plan, initial, dist, tab)
+	} else {
+		res, err = r.routePlanned(ctx, plan, initial, dist, tab, noSwapCap)
 	}
-	return r.routePlanned(ctx, plan, initial, dist, tab, noSwapCap)
+	//lint:allow poolsafe: routing copies every gate it emits into the output circuit; nothing in the Result aliases the plan — TestRouteResultOutlivesPooledPlan guards this
+	return res, err
 }
 
 // validate checks the circuit/layout/device shapes once per Route call and
@@ -163,35 +176,81 @@ type layerPlan struct {
 }
 
 // routePlan is the shared per-call routing plan plus the input gate total
-// (the output-circuit presizing hint).
+// (the output-circuit presizing hint). Plans are pooled: the layers are
+// views of one flat gate array, and the ASAP-schedule scratch rides along,
+// so a warm plan builds without allocating. A plan never outlives its
+// RouteContext call — every gate it holds is copied into the output.
 type routePlan struct {
 	layers []layerPlan
 	gates  int
+
+	flat    []circuit.Gate // every layer's one- then two-qubit gates
+	layerOf []int          // ASAP step per input gate
+	level   []int          // per-qubit schedule scratch
+	off     []int          // segment offsets: 2t one-qubit, 2t+1 two-qubit of layer t
 }
 
-// buildPlan partitions c into ASAP layers split by arity. With lookahead
-// enabled, each layer references the next layer's two-qubit gates.
+var planPool = sync.Pool{New: func() any { return new(routePlan) }}
+
+// putPlan recycles a plan whose RouteContext call has returned.
+func putPlan(p *routePlan) { planPool.Put(p) }
+
+// buildPlan partitions c into ASAP layers split by arity, keeping program
+// order within each layer. With lookahead enabled, each layer references
+// the next layer's two-qubit gates.
 func buildPlan(c *circuit.Circuit, lookahead bool) *routePlan {
-	layers := c.Layers()
-	plan := &routePlan{layers: make([]layerPlan, len(layers)), gates: len(c.Gates)}
-	for li, layer := range layers {
-		lp := &plan.layers[li]
-		for _, gi := range layer {
-			g := c.Gates[gi]
-			switch g.Arity() {
-			case 1:
-				lp.oneQ = append(lp.oneQ, g)
-			case 2:
-				lp.twoQ = append(lp.twoQ, g)
-			}
+	p := planPool.Get().(*routePlan)
+	p.gates = len(c.Gates)
+	if cap(p.level) < c.NQubits {
+		p.level = make([]int, c.NQubits)
+	}
+	var nLayers int
+	p.layerOf, nLayers = c.LayerOf(p.layerOf[:0], p.level[:c.NQubits])
+
+	// Count every (layer, arity) segment, turn the counts into start
+	// offsets, then place the gates; each placement advances its segment's
+	// offset, leaving off[k] at segment k's end.
+	nSeg := 2 * nLayers
+	if cap(p.off) < nSeg+1 {
+		p.off = make([]int, nSeg+1)
+	}
+	off := p.off[:nSeg+1]
+	clear(off)
+	for i, t := range p.layerOf {
+		if t >= 0 {
+			off[2*t+c.Gates[i].Arity()]++ // segment 2t+arity-1, counted one slot up
 		}
+	}
+	for k := 1; k <= nSeg; k++ {
+		off[k] += off[k-1]
+	}
+	if cap(p.flat) < off[nSeg] {
+		p.flat = make([]circuit.Gate, off[nSeg])
+	}
+	flat := p.flat[:off[nSeg]]
+	for i, t := range p.layerOf {
+		if t >= 0 {
+			k := 2*t + c.Gates[i].Arity() - 1
+			flat[off[k]] = c.Gates[i]
+			off[k]++
+		}
+	}
+	if cap(p.layers) < nLayers {
+		p.layers = make([]layerPlan, nLayers)
+	}
+	p.layers = p.layers[:nLayers]
+	start := 0
+	for t := range p.layers {
+		mid, end := off[2*t], off[2*t+1]
+		p.layers[t] = layerPlan{oneQ: flat[start:mid:mid], twoQ: flat[mid:end:end]}
+		start = end
 	}
 	if lookahead {
-		for li := 0; li+1 < len(plan.layers); li++ {
-			plan.layers[li].next = plan.layers[li+1].twoQ
+		for t := 0; t+1 < nLayers; t++ {
+			p.layers[t].next = p.layers[t+1].twoQ
 		}
 	}
-	return plan
+	return p
 }
 
 // trial is the one construction path for a stochastic routing attempt: the

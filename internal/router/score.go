@@ -12,13 +12,15 @@ import (
 
 // devTables flattens the device lookups the routing hot loops hit per
 // candidate evaluation — the distance matrix and the coupling adjacency —
-// into contiguous 1-D arrays indexed a*n+b. They are built once per
-// RouteContext call and shared read-only by every stochastic trial, turning
-// the map-backed Connected check and the [][]float64 double indirection
-// into single bounds-checked loads. The stored values are bitwise copies of
-// the source matrix, so scores computed through the table are identical to
+// into contiguous 1-D arrays indexed a*n+b. They are shared read-only by
+// every routing call on the same (device, distance matrix), turning the
+// map-backed Connected check and the [][]float64 double indirection into
+// single bounds-checked loads. The stored values are bitwise copies of the
+// source matrix, so scores computed through the table are identical to
 // scores computed through graphs.DistanceMatrix.Dist.
 type devTables struct {
+	dev    *device.Device         // the device the tables describe
+	hopM   *graphs.DistanceMatrix // the device hop matrix hop was copied from
 	n      int
 	dist   []float64 // dist[a*n+b] = DistanceMatrix.Dist(a, b)
 	hop    []float64 // hop[a*n+b] = unweighted shortest-path length a→b
@@ -26,10 +28,31 @@ type devTables struct {
 	maxHop int       // largest finite hop distance (the coupling diameter)
 }
 
-func buildDevTables(dev *device.Device, dist *graphs.DistanceMatrix) *devTables {
-	n := dev.NQubits()
-	t := &devTables{n: n, dist: make([]float64, n*n), hop: make([]float64, n*n), adj: make([]bool, n*n)}
+// devTablesFor returns the tables of (dev, dist), memoized on dist: they
+// depend only on the device and the two matrices, so IC/VIC's one routing
+// call per packed layer builds them once per compile target, not once per
+// call. The memo lives on the matrix rather than in a package-level map, so
+// its lifetime is the device's distance cache — InvalidateCaches and
+// SetCalibration drop the matrices and the tables with them, and a
+// replaced device pins nothing. Reuse is checked against the device and
+// its current hop matrix; a mismatch (a matrix handed to another device,
+// or a device whose caches were rebuilt) builds fresh tables.
+//
+// dev.HopDistances is consulted exactly once per call, memo hit or not, so
+// the device cache counters read as they did when every call rebuilt.
+func devTablesFor(dev *device.Device, dist *graphs.DistanceMatrix) *devTables {
 	hop := dev.HopDistances()
+	if t, ok := dist.Derived().(*devTables); ok && t.dev == dev && t.hopM == hop {
+		return t
+	}
+	t := buildDevTables(dev, dist, hop)
+	dist.SetDerived(t)
+	return t
+}
+
+func buildDevTables(dev *device.Device, dist, hop *graphs.DistanceMatrix) *devTables {
+	n := dev.NQubits()
+	t := &devTables{dev: dev, hopM: hop, n: n, dist: make([]float64, n*n), hop: make([]float64, n*n), adj: make([]bool, n*n)}
 	for a := 0; a < n; a++ {
 		copy(t.dist[a*n:(a+1)*n], dist.D[a])
 		copy(t.hop[a*n:(a+1)*n], hop.D[a])

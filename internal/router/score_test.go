@@ -22,9 +22,9 @@ func TestDevTablesBitwiseSymmetric(t *testing.T) {
 		name string
 		tab  *devTables
 	}{
-		{"tokyo-hop", buildDevTables(device.Tokyo20(), device.Tokyo20().HopDistances())},
-		{"melbourne-hop", buildDevTables(device.Melbourne15(), device.Melbourne15().HopDistances())},
-		{"tokyo-reliability", buildDevTables(calibrated, calibrated.ReliabilityDistances())},
+		{"tokyo-hop", devTablesFor(device.Tokyo20(), device.Tokyo20().HopDistances())},
+		{"melbourne-hop", devTablesFor(device.Melbourne15(), device.Melbourne15().HopDistances())},
+		{"tokyo-reliability", devTablesFor(calibrated, calibrated.ReliabilityDistances())},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -52,7 +52,7 @@ func TestDevTablesBitwiseSymmetric(t *testing.T) {
 func TestScoringKernelZeroAlloc(t *testing.T) {
 	dev := device.Tokyo20()
 	dist := dev.HopDistances()
-	tab := buildDevTables(dev, dist)
+	tab := devTablesFor(dev, dist)
 	scan := dev.Coupling.Edges()
 	layout := TrivialLayout(16, dev.NQubits())
 

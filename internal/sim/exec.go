@@ -270,9 +270,9 @@ func (e *Executor) SampleNoisy(nm *NoiseModel, shots, trajectories int, rng *ran
 		})
 	}
 
-	var replayGates int64
+	var replayGates, replayAmpOps int64
 	if len(faulty) > 0 {
-		replayGates = e.replayFaulty(faulty, nm)
+		replayGates, replayAmpOps = e.replayFaulty(faulty, nm)
 	}
 
 	if col.Enabled() {
@@ -282,6 +282,7 @@ func (e *Executor) SampleNoisy(nm *NoiseModel, shots, trajectories int, rng *ran
 		col.Add(obsv.CntSimReplays, int64(len(faulty)))
 		col.Add(obsv.CntSimCheckpoints, int64(len(faulty)))
 		col.Add(obsv.CntSimReplayGates, replayGates)
+		col.Add(obsv.CntSimReplayAmpOps, replayAmpOps)
 	}
 	return out
 }
@@ -291,8 +292,10 @@ func (e *Executor) SampleNoisy(nm *NoiseModel, shots, trajectories int, rng *ran
 // fault site (sorted order keeps the prefix monotone) and checkpoints it
 // into the worker's scratch state; the parallel phase replays each suffix,
 // samples and applies readout noise. Returns the number of gate
-// applications spent on prefix advancement plus suffix replay.
-func (e *Executor) replayFaulty(faulty []*trajPlan, nm *NoiseModel) int64 {
+// applications spent on prefix advancement plus suffix replay, and the
+// amplitude operations they cost: state length × (prefix gates that touch
+// the state + fused suffix ops) — the replay work sim/amp_ops never sees.
+func (e *Executor) replayFaulty(faulty []*trajPlan, nm *NoiseModel) (replayGates, ampOps int64) {
 	sort.SliceStable(faulty, func(i, j int) bool {
 		return faulty[i].faults[0].gate < faulty[j].faults[0].gate
 	})
@@ -308,13 +311,14 @@ func (e *Executor) replayFaulty(faulty []*trajPlan, nm *NoiseModel) int64 {
 	prefixGate := -1
 	scratch := make([]*State, workers)
 	cdfs := make([][]float64, workers)
+	slotOps := make([]int, workers) // fused suffix ops per wave slot
 	for i := range scratch {
 		scratch[i] = getState(n)
 		cdfs[i] = getCDF(len(prefix.Amp))
 		defer putState(scratch[i])
 		defer putCDF(cdfs[i])
 	}
-	var replayGates int64
+	amps := int64(len(prefix.Amp))
 	for w0 := 0; w0 < len(faulty); w0 += workers {
 		wave := faulty[w0:min(w0+workers, len(faulty))]
 		for slot, p := range wave {
@@ -322,38 +326,47 @@ func (e *Executor) replayFaulty(faulty []*trajPlan, nm *NoiseModel) int64 {
 			for gi := prefixGate + 1; gi <= fg; gi++ {
 				prefix.ApplyGate(gates[gi])
 				replayGates++
+				if k := gates[gi].Kind; k != circuit.Measure && k != circuit.Barrier {
+					ampOps += amps
+				}
 			}
 			prefixGate = fg
 			copy(scratch[slot].Amp, prefix.Amp)
 			replayGates += int64(len(gates) - 1 - fg)
 		}
 		if len(wave) == 1 {
-			e.finishTrajectory(scratch[0], cdfs[0], wave[0], nm)
-			continue
+			slotOps[0] = e.finishTrajectory(scratch[0], cdfs[0], wave[0], nm)
+		} else {
+			var wg sync.WaitGroup
+			for slot, p := range wave {
+				wg.Add(1)
+				go func(slot int, p *trajPlan) {
+					defer wg.Done()
+					slotOps[slot] = e.finishTrajectory(scratch[slot], cdfs[slot], p, nm)
+				}(slot, p)
+			}
+			wg.Wait()
 		}
-		var wg sync.WaitGroup
-		for slot, p := range wave {
-			wg.Add(1)
-			go func(slot int, p *trajPlan) {
-				defer wg.Done()
-				e.finishTrajectory(scratch[slot], cdfs[slot], p, nm)
-			}(slot, p)
+		for slot := range wave {
+			ampOps += int64(slotOps[slot]) * amps
 		}
-		wg.Wait()
 	}
-	return replayGates
+	return replayGates, ampOps
 }
 
 // finishTrajectory replays the fused fault suffix on the checkpointed state
 // s, then samples the trajectory's shots and applies readout flips — all
-// with the trajectory's private RNG substream.
-func (e *Executor) finishTrajectory(s *State, cdf []float64, p *trajPlan, nm *NoiseModel) {
-	faultSuffixProgram(e.circ, p.faults).apply(s)
+// with the trajectory's private RNG substream. Returns the number of fused
+// ops the suffix replay applied.
+func (e *Executor) finishTrajectory(s *State, cdf []float64, p *trajPlan, nm *NoiseModel) int {
+	prog := faultSuffixProgram(e.circ, p.faults)
+	prog.apply(s)
 	acc := buildCDF(s.Amp, cdf)
 	for k := range p.out {
 		p.out[k] = uint64(searchCDF(cdf, p.rng.Float64()*acc))
 	}
 	flipReadoutAll(p.out, nm, p.rng)
+	return len(prog.ops)
 }
 
 // forEachPlan applies f to every plan, fanning out across cores when there

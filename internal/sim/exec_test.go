@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/obsv"
 )
 
 // testNoiseModel returns a model noisy enough that a sizable fraction of
@@ -222,5 +223,48 @@ func TestExpectationTableMatchesDiagonal(t *testing.T) {
 	got := s.ExpectationTable(tbl)
 	if d := want - got; d > 1e-12 || d < -1e-12 {
 		t.Fatalf("ExpectationTable = %g, ExpectationDiagonal = %g", got, want)
+	}
+}
+
+// TestReplayAmpOpsCounted: sim/replay_amp_ops accounts the amplitude work
+// of the checkpoint/replay path — prefix advancement gate by gate plus
+// every faulty trajectory's fused suffix — which sim/amp_ops never sees.
+// The expected total is rebuilt independently from the fault plans, and
+// must not depend on the fan-out width.
+func TestReplayAmpOpsCounted(t *testing.T) {
+	c := noisyTestCircuit(5, 3, 77) // no measurements or barriers: every prefix gate touches the state
+	nm := testNoiseModel()
+	const shots, trajectories = 600, 24
+	amps := int64(1) << c.NQubits
+	base := rand.New(rand.NewSource(3)).Int63()
+	var want int64
+	lastSite := -1
+	for tr := 0; tr < trajectories; tr++ {
+		faults := drawFaults(c, nm, rand.New(rand.NewSource(substreamSeed(base, int64(tr)))), nil)
+		if len(faults) == 0 {
+			continue
+		}
+		want += int64(len(faultSuffixProgram(c, faults).ops)) * amps
+		lastSite = max(lastSite, faults[0].gate)
+	}
+	if lastSite < 0 {
+		t.Fatal("no trajectory drew a fault; the check would be vacuous")
+	}
+	want += int64(lastSite+1) * amps
+
+	col := obsv.New()
+	SetCollector(col)
+	defer SetCollector(nil)
+	for _, procs := range []int{1, 3} {
+		col.Reset()
+		old := runtime.GOMAXPROCS(procs)
+		NewExecutor(c).SampleNoisy(nm, shots, trajectories, rand.New(rand.NewSource(3)))
+		runtime.GOMAXPROCS(old)
+		if got := col.Counter(obsv.CntSimReplayAmpOps); got != want {
+			t.Errorf("GOMAXPROCS=%d: sim/replay_amp_ops = %d, want %d", procs, got, want)
+		}
+		if col.Counter(obsv.CntSimReplays) == 0 {
+			t.Errorf("GOMAXPROCS=%d: no replays recorded", procs)
+		}
 	}
 }

@@ -128,7 +128,7 @@ func TestPipelineRecordsOnlyRegisteredNames(t *testing.T) {
 		obsv.CntLoopEvaluations, obsv.CntSimRuns,
 		obsv.CntSimFusedOps, obsv.CntSimAmpOps,
 		obsv.CntSimTrajectories, obsv.CntSimNoisyShots,
-		obsv.CntSimCutTableBuilds,
+		obsv.CntSimCutTableBuilds, obsv.CntCompileOrderKeyed,
 	} {
 		if _, ok := snap.Counters[name]; !ok {
 			t.Errorf("expected counter %q was never recorded", name)
