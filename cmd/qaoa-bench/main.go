@@ -40,7 +40,7 @@ func main() {
 		argShots  = flag.Int("arg-shots", 0, "measurement shots per ARG record (default 4096)")
 		argTraj   = flag.Int("arg-trajectories", 0, "noisy trajectories per ARG record (default 256)")
 		trials    = flag.Int("router-trials", 0, "stochastic routing trials per circuit (0/1 = single-shot; trials run in parallel across GOMAXPROCS with a deterministic result)")
-		parambind = flag.String("parambind", "", "run the parameterized-compilation evidence suite instead of the figure suite: \"before\" (full compile per evaluation/point) or \"after\" (skeleton compiled once, angles bound per evaluation/point)")
+		parambind = flag.Bool("parambind", false, "run the parameterized-compilation evidence suite (skeleton compiled once, angles bound per evaluation/point) instead of the figure suite")
 		timeout   = flag.Duration("timeout", 10*time.Minute, "abort the suite after this long (0 = no deadline)")
 		listen    = flag.String("listen", "", "serve live Prometheus metrics, /healthz and pprof on this address (e.g. :8080) while the suite runs")
 		logOut    = flag.String("log", "", "write a JSON wide-event run summary line to this file (\"-\" for stderr, empty disables)")
@@ -53,7 +53,7 @@ func main() {
 	}
 }
 
-func run(out, rev, baseline, parambind string, timeThr, countThr, simThr, timeSlack float64, instances, nodes, argShots, argTraj, trials int, seed int64, timeout time.Duration, listen, logOut string) error {
+func run(out, rev, baseline string, parambind bool, timeThr, countThr, simThr, timeSlack float64, instances, nodes, argShots, argTraj, trials int, seed int64, timeout time.Duration, listen, logOut string) error {
 	runStart := time.Now()
 	rev = qaoac.RevisionFromEnv(rev)
 	if out == "" {
@@ -113,21 +113,13 @@ func run(out, rev, baseline, parambind string, timeThr, countThr, simThr, timeSl
 
 	rep := qaoac.NewBenchReport("qaoa-bench", rev, nil)
 	rep.TimeUnitSec = qaoac.CalibrateTimeUnit()
-	if parambind != "" {
-		// Evidence-pair mode: same seed, same workload, two compilation
-		// modes — the before/after files differ only in where the compile
-		// work lands (full pipeline per evaluation vs one skeleton + binds).
+	if parambind {
+		// Evidence mode: the hybrid loop and the angle sweep on the bind
+		// path, with the compile-work counters of each.
 		if baseline != "" {
-			return fmt.Errorf("-parambind and -baseline are mutually exclusive: compare the before/after pair directly")
+			return fmt.Errorf("-parambind and -baseline are mutually exclusive: compare against BENCH_parambind_after.json directly")
 		}
 		pcfg := qaoac.DefaultParamBind()
-		switch parambind {
-		case "before":
-			pcfg.CompilePerEval = true
-		case "after":
-		default:
-			return fmt.Errorf("-parambind must be \"before\" or \"after\", got %q", parambind)
-		}
 		if instances > 0 {
 			pcfg.Instances = instances
 		}

@@ -29,6 +29,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/device"
 	"repro/internal/obsv"
+	"repro/internal/qaoa"
 	"repro/internal/serve"
 	"repro/qaoac"
 )
@@ -140,18 +141,20 @@ func run(listen string, workers, queue, cacheSize int, deadline, maxDeadline, bu
 	return nil
 }
 
-// warmUp compiles a 4-node ring on the smallest standard device — enough
-// to touch every pass once and fault early on misconfiguration.
+// warmUp compiles a 4-node ring on the smallest standard device and binds
+// one angle set — the skeleton + bind path every request takes, so
+// readiness shows it works and a misconfiguration faults early.
 func warmUp() error {
-	spec := compile.Spec{N: 4, Levels: []compile.LevelSpec{{
-		ZZ: []compile.ZZTerm{
-			{U: 0, V: 1, Theta: -0.8}, {U: 1, V: 2, Theta: -0.8},
-			{U: 2, V: 3, Theta: -0.8}, {U: 0, V: 3, Theta: -0.8},
-		},
-		MixerBeta: 0.4,
-	}}}
+	ps := compile.ParamSpec{N: 4, P: 1, Terms: []compile.WeightedTerm{
+		{U: 0, V: 1, Weight: 1}, {U: 1, V: 2, Weight: 1},
+		{U: 2, V: 3, Weight: 1}, {U: 0, V: 3, Weight: 1},
+	}}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	_, err := compile.CompileSpecResilient(ctx, spec, device.Melbourne15(), compile.PresetIC, compile.FallbackOptions{Seed: 1})
+	sk, err := compile.CompileSkeletonResilient(ctx, ps, device.Melbourne15(), compile.PresetIC, compile.FallbackOptions{Seed: 1})
+	if err != nil {
+		return err
+	}
+	_, err = sk.Bind(qaoa.Params{Gamma: []float64{0.8}, Beta: []float64{0.4}})
 	return err
 }

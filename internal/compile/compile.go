@@ -169,15 +169,7 @@ func CompileSpecContext(ctx context.Context, spec Spec, dev *device.Device, opts
 		return nil, err
 	}
 
-	if o.Optimize {
-		res.Circuit = circuit.Peephole(res.Circuit)
-	}
-	res.Native = res.Circuit.Decompose(circuit.BasisIBM)
-	if o.Optimize {
-		res.Native = circuit.Peephole(res.Native)
-	}
-	res.Depth = res.Native.Depth()
-	res.GateCount = res.Native.GateCount()
+	res.lower(o.Optimize)
 	res.CompileTime = time.Since(start) //lint:allow determinism: measured pass span, stripped by the gates
 	res.MapTime = mapTime
 	if o.Obs.Enabled() {
@@ -192,6 +184,23 @@ func CompileSpecContext(ctx context.Context, spec Spec, dev *device.Device, opts
 		}
 	}
 	return res, nil
+}
+
+// lower runs the tail of the pipeline on a routed, stitched circuit:
+// optional peephole, decomposition to the IBM basis, optional peephole of
+// the native circuit, then depth and gate count. Peephole merges rotations
+// by value, so this is the only angle-dependent step; a concrete compile
+// and a bind of an Optimize skeleton both end here.
+func (res *Result) lower(optimize bool) {
+	if optimize {
+		res.Circuit = circuit.Peephole(res.Circuit)
+	}
+	res.Native = res.Circuit.Decompose(circuit.BasisIBM)
+	if optimize {
+		res.Native = circuit.Peephole(res.Native)
+	}
+	res.Depth = res.Native.Depth()
+	res.GateCount = res.Native.GateCount()
 }
 
 // traceMeta describes the compilation for the trace stream, including the

@@ -161,9 +161,6 @@ func CompileSpecResilient(ctx context.Context, spec Spec, dev *device.Device, pr
 // under the same fallback path. The skeleton's Fallback (and that of
 // every Result it binds) records the ladder's journey.
 func CompileSkeletonResilient(ctx context.Context, ps ParamSpec, dev *device.Device, preset Preset, fo FallbackOptions) (*Skeleton, error) {
-	if fo.Optimize {
-		return nil, ErrSkeletonOptimize
-	}
 	fo = fo.withDefaults()
 	sk, fb, err := runLadder(ctx, dev, preset, fo,
 		func(ctx context.Context, p Preset, rung, retry int) (*Skeleton, error) {

@@ -2,7 +2,6 @@ package compile
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -32,14 +31,11 @@ import (
 // high-level and native circuits for the sentinels recovers exactly which
 // gate slot belongs to which (level, role, term), no matter how the
 // ordering passes permuted the terms. Peephole optimization merges
-// rotations by value and is the one angle-dependent pass, so
-// CompileSkeleton rejects Options.Optimize.
-
-// ErrSkeletonOptimize rejects skeleton compilation with peephole
-// optimization: peephole merges and cancels rotations based on their
-// concrete angles, so an optimized circuit's structure is not
-// angle-independent and cannot be rebound.
-var ErrSkeletonOptimize = errors.New("compile: skeleton compilation is incompatible with peephole optimization (gate structure would depend on the angles)")
+// rotations by value and is the one angle-dependent pass, but it is also
+// the last: CompileSkeleton routes without it, and binding an Optimize
+// skeleton runs the same peephole → decompose → peephole tail
+// (Result.lower) on the bound circuit that the concrete compile runs on
+// its routed one.
 
 // WeightedTerm is one ZZ interaction of a parameterized cost Hamiltonian:
 // at bind time the level-l cost phase of the (U,V) term is −γ[l]·Weight.
@@ -70,9 +66,9 @@ type ParamSpec struct {
 }
 
 // ParamSpecFromMaxCut builds the p-level parameterized spec of a MaxCut
-// problem: one unit-weight term per graph edge, matching SpecFromMaxCut
-// term for term so a skeleton bind is byte-identical to the concrete
-// compile.
+// problem: one unit-weight term per graph edge. SpecFromMaxCut is this
+// spec concretized, so a skeleton bind and the concrete compile start from
+// the same terms in the same order.
 func ParamSpecFromMaxCut(prob *qaoa.Problem, p int) (ParamSpec, error) {
 	ps := ParamSpec{N: prob.NumQubits(), P: p, Terms: make([]WeightedTerm, 0, prob.G.M())}
 	for _, e := range prob.G.Edges() {
@@ -191,6 +187,10 @@ type Skeleton struct {
 	circCost, nativeCost []costSlot
 	circMix, nativeMix   []mixSlot
 
+	// optimize makes every bind run the peephole tail on the bound
+	// circuit; the templates themselves are never peepholed.
+	optimize bool
+
 	// initial and final are shared by reference with every bound Result;
 	// layouts are treated as immutable after compilation.
 	initial, final *router.Layout
@@ -208,34 +208,24 @@ func (s *Skeleton) N() int { return s.n }
 // P returns the number of QAOA levels an angle set must have to bind.
 func (s *Skeleton) P() int { return s.p }
 
-// SwapCount, Depth and GateCount report the routed metrics, which are
-// angle-independent and therefore shared by every bound Result.
-func (s *Skeleton) SwapCount() int { return s.swapCount }
-
-// Depth is documented with SwapCount.
-func (s *Skeleton) Depth() int { return s.depth }
-
-// GateCount is documented with SwapCount.
-func (s *Skeleton) GateCount() int { return s.gateCount }
-
 // Fallback reports how the degradation ladder arrived at this skeleton
 // (nil for direct CompileSkeleton calls, always set by
 // CompileSkeletonResilient).
 func (s *Skeleton) Fallback() *FallbackInfo { return s.fallback }
 
 // CompileSkeleton runs the full pipeline once for the parameterized spec
-// and returns the reusable skeleton. opts are the usual compile options;
-// Optimize is rejected (see ErrSkeletonOptimize). The routing rng is
-// consumed exactly as a concrete compile would consume it, so a skeleton
-// compiled with a given seed binds to the byte-identical circuit that a
-// concrete compile with the same seed would produce.
+// and returns the reusable skeleton. opts are the usual compile options,
+// Optimize included: it is recorded on the skeleton and applied at bind
+// time. The routing rng is consumed exactly as a concrete compile would
+// consume it, so a skeleton compiled with a given seed binds to the
+// byte-identical circuit that a concrete compile with the same seed would
+// produce.
 func CompileSkeleton(ctx context.Context, ps ParamSpec, dev *device.Device, opts Options) (*Skeleton, error) {
 	if err := ps.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Optimize {
-		return nil, ErrSkeletonOptimize
-	}
+	optimize := opts.Optimize
+	opts.Optimize = false
 	res, err := CompileSpecContext(ctx, ps.sentinelSpec(), dev, opts)
 	if err != nil {
 		return nil, err
@@ -244,6 +234,7 @@ func CompileSkeleton(ctx context.Context, ps ParamSpec, dev *device.Device, opts
 	if err != nil {
 		return nil, err
 	}
+	sk.optimize = optimize
 	opts.Obs.Inc(obsv.CntSkeletonCompiles)
 	return sk, nil
 }
@@ -342,7 +333,8 @@ func (s *Skeleton) Bind(params qaoa.Params) (*Result, error) {
 // CompileSpecContext would produce for the concrete spec with the same
 // options and seed, at the cost of two gate-slice copies. The Result
 // shares the skeleton's layouts (immutable) and reports the skeleton's
-// one-time pass timings; it is valid until buf's next bind.
+// one-time pass timings; it is valid until buf's next bind. An Optimize
+// skeleton instead lowers the bound circuit afresh, which allocates.
 //
 //qaoa:hotpath
 func (s *Skeleton) BindTo(buf *BindBuffer, params qaoa.Params) (*Result, error) {
@@ -357,12 +349,7 @@ func (s *Skeleton) BindTo(buf *BindBuffer, params qaoa.Params) (*Result, error) 
 	buf.circ.NQubits = s.circ.NQubits
 	//lint:allow hotpath: high-water reuse — the copy grows buf once, then binds are allocation-free (BenchmarkSkeletonBindTo)
 	buf.circ.Gates = append(buf.circ.Gates[:0], s.circ.Gates...)
-	buf.native.NQubits = s.native.NQubits
-	//lint:allow hotpath: high-water reuse — the copy grows buf once, then binds are allocation-free (BenchmarkSkeletonBindTo)
-	buf.native.Gates = append(buf.native.Gates[:0], s.native.Gates...)
 	writeSlots(buf.circ.Gates, s.circCost, s.circMix, s.terms, params)
-	writeSlots(buf.native.Gates, s.nativeCost, s.nativeMix, s.terms, params)
-	s.obs.Inc(obsv.CntCompileBinds)
 	buf.res = Result{
 		Circuit: &buf.circ, Native: &buf.native,
 		Initial: s.initial, Final: s.final,
@@ -371,6 +358,16 @@ func (s *Skeleton) BindTo(buf *BindBuffer, params qaoa.Params) (*Result, error) 
 		OrderTime: s.orderTime, RouteTime: s.routeTime,
 		Fallback: s.fallback,
 	}
+	if s.optimize {
+		//lint:allow hotpath: Optimize skeletons only — peephole is angle-dependent, so it reruns per bind; the zero-alloc contract covers the plain bind
+		buf.res.lower(true)
+	} else {
+		buf.native.NQubits = s.native.NQubits
+		//lint:allow hotpath: high-water reuse — the copy grows buf once, then binds are allocation-free (BenchmarkSkeletonBindTo)
+		buf.native.Gates = append(buf.native.Gates[:0], s.native.Gates...)
+		writeSlots(buf.native.Gates, s.nativeCost, s.nativeMix, s.terms, params)
+	}
+	s.obs.Inc(obsv.CntCompileBinds)
 	return &buf.res, nil
 }
 

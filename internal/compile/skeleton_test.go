@@ -2,8 +2,10 @@ package compile
 
 import (
 	"context"
-	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -20,13 +22,13 @@ import (
 // fresh concrete compile.
 func requireSameResult(t *testing.T, label string, got, want *Result) {
 	t.Helper()
-	if !slices.Equal(got.Circuit.Gates, want.Circuit.Gates) {
+	if !sameGateBits(got.Circuit.Gates, want.Circuit.Gates) {
 		t.Fatalf("%s: bound circuit differs from oracle\nbound:\n%s\noracle:\n%s", label, got.Circuit, want.Circuit)
 	}
 	if got.Circuit.NQubits != want.Circuit.NQubits {
 		t.Fatalf("%s: bound circuit register %d, oracle %d", label, got.Circuit.NQubits, want.Circuit.NQubits)
 	}
-	if !slices.Equal(got.Native.Gates, want.Native.Gates) {
+	if !sameGateBits(got.Native.Gates, want.Native.Gates) {
 		t.Fatalf("%s: bound native circuit differs from oracle", label)
 	}
 	if got.Circuit.String() != want.Circuit.String() || got.Native.String() != want.Native.String() {
@@ -40,6 +42,22 @@ func requireSameResult(t *testing.T, label string, got, want *Result) {
 	}
 }
 
+// sameGateBits compares gate lists bit for bit: angles by their IEEE
+// encoding, so NaN phases and the sign of zero count too.
+func sameGateBits(a, b []circuit.Gate) bool {
+	return slices.EqualFunc(a, b, func(x, y circuit.Gate) bool {
+		if x.Kind != y.Kind || x.Q0 != y.Q0 || x.Q1 != y.Q1 {
+			return false
+		}
+		for i := range x.Params {
+			if math.Float64bits(x.Params[i]) != math.Float64bits(y.Params[i]) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
 func requireSameLayout(t *testing.T, label string, got, want *router.Layout) {
 	t.Helper()
 	if !slices.Equal(got.L2P, want.L2P) || !slices.Equal(got.P2L, want.P2L) {
@@ -47,9 +65,11 @@ func requireSameLayout(t *testing.T, label string, got, want *router.Layout) {
 	}
 }
 
-// The tentpole oracle: for every preset, device, seed, level count and a
-// spread of angle sets, binding the one-time skeleton is byte-identical
-// to running the full pipeline on the concrete angles with the same seed.
+// The tentpole oracle: for every preset, device, seed, level count,
+// Optimize setting and a spread of angle sets, binding the one-time
+// skeleton is byte-identical to running the full pipeline on the concrete
+// angles with the same seed. The zero-angle set is where peephole changes
+// the structure: it cancels the vanished rotations.
 func TestSkeletonBindMatchesCompileOracle(t *testing.T) {
 	devices := []*device.Device{device.Melbourne15(), device.Tokyo20()}
 	graphsUnderTest := []*graphs.Graph{
@@ -71,26 +91,34 @@ func TestSkeletonBindMatchesCompileOracle(t *testing.T) {
 				}
 				for _, seed := range []int64{1, 7} {
 					for _, p := range []int{1, 2} {
-						ps, err := ParamSpecFromMaxCut(prob, p)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sk, err := CompileSkeleton(ctx, ps, dev, preset.Options(rand.New(rand.NewSource(seed))))
-						if err != nil {
-							t.Fatalf("%s/%v seed=%d p=%d: skeleton: %v", dev.Name, preset, seed, p, err)
-						}
-						var buf BindBuffer
-						for _, full := range angleSets {
-							params := qaoa.Params{Gamma: full.Gamma[:p], Beta: full.Beta[:p]}
-							bound, err := sk.BindTo(&buf, params)
-							if err != nil {
-								t.Fatalf("%s/%v seed=%d p=%d: bind: %v", dev.Name, preset, seed, p, err)
+						for _, optimize := range []bool{false, true} {
+							options := func() Options {
+								o := preset.Options(rand.New(rand.NewSource(seed)))
+								o.Optimize = optimize
+								return o
 							}
-							oracle, err := CompileContext(ctx, prob, params, dev, preset.Options(rand.New(rand.NewSource(seed))))
+							label := fmt.Sprintf("%s/%v seed=%d p=%d optimize=%t", dev.Name, preset, seed, p, optimize)
+							ps, err := ParamSpecFromMaxCut(prob, p)
 							if err != nil {
-								t.Fatalf("%s/%v seed=%d p=%d: oracle: %v", dev.Name, preset, seed, p, err)
+								t.Fatal(err)
 							}
-							requireSameResult(t, dev.Name+"/"+preset.String(), bound, oracle)
+							sk, err := CompileSkeleton(ctx, ps, dev, options())
+							if err != nil {
+								t.Fatalf("%s: skeleton: %v", label, err)
+							}
+							var buf BindBuffer
+							for _, full := range angleSets {
+								params := qaoa.Params{Gamma: full.Gamma[:p], Beta: full.Beta[:p]}
+								bound, err := sk.BindTo(&buf, params)
+								if err != nil {
+									t.Fatalf("%s: bind: %v", label, err)
+								}
+								oracle, err := CompileContext(ctx, prob, params, dev, options())
+								if err != nil {
+									t.Fatalf("%s: oracle: %v", label, err)
+								}
+								requireSameResult(t, label, bound, oracle)
+							}
 						}
 					}
 				}
@@ -184,16 +212,53 @@ func TestSkeletonResilientMatchesResilientOracle(t *testing.T) {
 	}
 }
 
-func TestSkeletonRejectsOptimize(t *testing.T) {
-	ps := ParamSpec{N: 2, P: 1, Terms: []WeightedTerm{{U: 0, V: 1, Weight: 1}}}
-	dev := device.Melbourne15()
-	opts := PresetIC.Options(rand.New(rand.NewSource(1)))
-	opts.Optimize = true
-	if _, err := CompileSkeleton(context.Background(), ps, dev, opts); !errors.Is(err, ErrSkeletonOptimize) {
-		t.Fatalf("CompileSkeleton with Optimize: err = %v, want ErrSkeletonOptimize", err)
+// Optimize carries through the resilient skeleton: a weighted, measured
+// spec bound at several angle sets (zero included, where peephole cancels
+// the vanished rotations) is byte-identical to CompileSpecResilient with
+// the same fallback options, the peepholed metrics and fallback record
+// included. The qaoad optimize path is exactly this call pair.
+func TestSkeletonResilientOptimizeMatchesResilientOracle(t *testing.T) {
+	ps := ParamSpec{
+		N: 5, P: 2,
+		Terms: []WeightedTerm{
+			{U: 0, V: 1, Weight: 1}, {U: 1, V: 2, Weight: 0.5}, {U: 2, V: 3, Weight: 2},
+			{U: 3, V: 4, Weight: -1.5}, {U: 0, V: 4, Weight: 1}, {U: 1, V: 3, Weight: 0.25},
+		},
 	}
-	if _, err := CompileSkeletonResilient(context.Background(), ps, dev, PresetIC, FallbackOptions{Optimize: true}); !errors.Is(err, ErrSkeletonOptimize) {
-		t.Fatalf("CompileSkeletonResilient with Optimize: err = %v, want ErrSkeletonOptimize", err)
+	ctx := context.Background()
+	fo := FallbackOptions{Seed: 5, Measure: true, Optimize: true}
+	for _, dev := range []*device.Device{device.Melbourne15(), device.Tokyo20()} {
+		sk, err := CompileSkeletonResilient(ctx, ps, dev, PresetVIC, fo)
+		if err != nil {
+			t.Fatalf("%s: skeleton: %v", dev.Name, err)
+		}
+		var buf BindBuffer
+		gates := make([]int, 0, 2)
+		for _, params := range []qaoa.Params{
+			{Gamma: []float64{0.8, 0.37}, Beta: []float64{0.4, 0.19}},
+			{Gamma: []float64{0, 0}, Beta: []float64{0, 0}},
+		} {
+			bound, err := sk.BindTo(&buf, params)
+			if err != nil {
+				t.Fatalf("%s: bind: %v", dev.Name, err)
+			}
+			gates = append(gates, bound.GateCount)
+			spec, err := ps.Spec(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle, err := CompileSpecResilient(ctx, spec, dev, PresetVIC, fo)
+			if err != nil {
+				t.Fatalf("%s: oracle: %v", dev.Name, err)
+			}
+			requireSameResult(t, dev.Name, bound, oracle)
+			if !reflect.DeepEqual(bound.Fallback, oracle.Fallback) {
+				t.Fatalf("%s: fallback %+v, oracle %+v", dev.Name, bound.Fallback, oracle.Fallback)
+			}
+		}
+		if gates[1] >= gates[0] {
+			t.Fatalf("%s: zero angles bound to %d gates, nonzero to %d: peephole did not run on the bind", dev.Name, gates[1], gates[0])
+		}
 	}
 }
 

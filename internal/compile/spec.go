@@ -92,20 +92,15 @@ func (s Spec) InteractionGraph() *graphs.Graph {
 
 // SpecFromMaxCut converts a MaxCut problem and angle set into the generic
 // spec: one ZZ term of angle −γ per edge per level (see qaoa.CostLayer for
-// the sign convention) and no linear terms.
+// the sign convention) and no linear terms. It is ParamSpecFromMaxCut
+// concretized by ParamSpec.Spec, so a concrete compile and a skeleton bind
+// share one angle convention.
 func SpecFromMaxCut(prob *qaoa.Problem, params qaoa.Params) (Spec, error) {
-	if err := params.Validate(); err != nil {
+	ps, err := ParamSpecFromMaxCut(prob, params.P())
+	if err != nil {
 		return Spec{}, err
 	}
-	s := Spec{N: prob.NumQubits(), Levels: make([]LevelSpec, params.P())}
-	for l := range s.Levels {
-		terms := make([]ZZTerm, 0, prob.G.M())
-		for _, e := range prob.G.Edges() {
-			terms = append(terms, ZZTerm{U: e.U, V: e.V, Theta: -params.Gamma[l]})
-		}
-		s.Levels[l] = LevelSpec{ZZ: terms, MixerBeta: params.Beta[l]}
-	}
-	return s, nil
+	return ps.Spec(params)
 }
 
 // RandomTermOrder shuffles a copy of the terms.

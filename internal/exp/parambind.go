@@ -14,23 +14,17 @@ import (
 
 // Parameterized-compilation evidence suite: the two workloads whose
 // compile work the skeleton/bind split collapses — the hybrid
-// optimization loop (one compile per objective evaluation before, one
-// skeleton compile plus one bind per evaluation after) and the angle-grid
-// sweep (one compile per grid point before, one skeleton per instance
-// after) — runnable in either mode from one binary, so
-// `qaoa-bench -parambind before` / `-parambind after` produce the
-// committed BENCH_parambind_before/after.json pair. The per-record
+// optimization loop (one skeleton compile plus one bind per objective
+// evaluation) and the angle-grid sweep (one skeleton per instance, one
+// bind per grid point). `qaoa-bench -parambind` runs it and writes
+// BENCH_parambind_after.json; BENCH_parambind_before.json is the frozen
+// record of the removed compile-per-evaluation mode. The per-record
 // Evaluations/Compilations/SkeletonCompiles/Binds counter deltas are
 // deterministic under the fixed seed; only the wall-clock fields vary
 // between hosts.
 
 // ParamBindConfig sizes the parameterized-compilation evidence suite.
 type ParamBindConfig struct {
-	// CompilePerEval selects the legacy mode ("before"): every loop
-	// evaluation and every sweep grid point runs the full mapping/
-	// ordering/routing pipeline. False is the skeleton/bind mode
-	// ("after"). Both modes run the byte-identical circuit per point.
-	CompilePerEval bool
 	// Instances is the number of hybrid-loop problem instances (default 4).
 	Instances int
 	// Nodes is the problem size of both workloads (default 12).
@@ -40,8 +34,7 @@ type ParamBindConfig struct {
 	Restarts int
 	MaxIter  int
 	// Shots and Trajectories size each noisy loop evaluation (defaults
-	// 128, 4 — small, so compile work rather than sampling dominates the
-	// measured difference).
+	// 128, 4 — small, the sizes of the committed BENCH_parambind pair).
 	Shots        int
 	Trajectories int
 	// SweepInstances, SweepNodes, GammaSteps and BetaSteps shape the
@@ -133,8 +126,7 @@ func (w compileWork) since(prev compileWork) compileWork {
 	}
 }
 
-// RunParamBindSuite runs both evidence workloads in the configured mode
-// and appends the "parambind/loop" and "parambind/sweep" records to rep.
+// RunParamBindSuite runs both evidence workloads and appends the "parambind/loop" and "parambind/sweep" records to rep.
 // Compilation and sampling forward the collector installed via
 // SetCollector, so the records' counter deltas and the report's counter
 // dump agree.
@@ -163,7 +155,6 @@ func RunParamBindSuite(ctx context.Context, cfg ParamBindConfig, rep *obsv.Repor
 			Prob: prob, Dev: mel, Preset: compile.PresetIC, P: 1,
 			Shots: cfg.Shots, Trajectories: cfg.Trajectories,
 			Rng: instanceRNG(cfg.Seed+101, i), Ctx: ctx, Obs: obs,
-			CompilePerEval: cfg.CompilePerEval,
 		}
 		res, err := loop.RunContext(ctx, ev, prob, loop.Options{
 			Restarts: cfg.Restarts, MaxIter: cfg.MaxIter,
@@ -188,7 +179,6 @@ func RunParamBindSuite(ctx context.Context, cfg ParamBindConfig, rep *obsv.Repor
 		Nodes: cfg.SweepNodes, Degree: 3, Instances: cfg.SweepInstances,
 		GammaSteps: cfg.GammaSteps, BetaSteps: cfg.BetaSteps,
 		Preset: compile.PresetIC, Seed: cfg.Seed + 5000,
-		CompilePerPoint: cfg.CompilePerEval,
 	}
 	before = snapshotWork(obs)
 	sweepStart := time.Now() //lint:allow determinism: measured wall time, gated loosely if at all

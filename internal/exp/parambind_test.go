@@ -7,11 +7,9 @@ import (
 	"repro/internal/obsv"
 )
 
-// The evidence suite's per-record counter deltas must add up exactly: in
-// legacy mode every evaluation/point is a full compile and nothing binds;
-// in skeleton mode compiles collapse to one per problem instance and every
-// evaluation/point is a bind. This is the accounting the committed
-// BENCH_parambind_before/after.json pair rests on.
+// The evidence suite's per-record counter deltas must add up exactly:
+// compiles collapse to one per problem instance and every evaluation/point
+// is a bind. This is the accounting BENCH_parambind_after.json rests on.
 func TestParamBindSuiteCounterAccounting(t *testing.T) {
 	cfg := ParamBindConfig{
 		Instances: 1, Nodes: 8, Restarts: 1, MaxIter: 6,
@@ -19,40 +17,29 @@ func TestParamBindSuiteCounterAccounting(t *testing.T) {
 		SweepInstances: 1, SweepNodes: 8, GammaSteps: 3, BetaSteps: 3,
 		Seed: 29,
 	}
-	for _, perEval := range []bool{true, false} {
-		cfg.CompilePerEval = perEval
-		obs := obsv.New()
-		SetCollector(obs)
-		rep := obsv.NewReport("test", "dev", nil)
-		if err := RunParamBindSuite(context.Background(), cfg, rep); err != nil {
-			SetCollector(nil)
-			t.Fatalf("perEval=%v: %v", perEval, err)
+	obs := obsv.New()
+	SetCollector(obs)
+	defer SetCollector(nil)
+	rep := obsv.NewReport("test", "dev", nil)
+	if err := RunParamBindSuite(context.Background(), cfg, rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 2 {
+		t.Fatalf("%d records, want 2", len(rep.Benchmarks))
+	}
+	for _, b := range rep.Benchmarks {
+		if b.Evaluations <= 0 {
+			t.Errorf("%s ran %d evaluations", b.Name, b.Evaluations)
 		}
-		SetCollector(nil)
-		if len(rep.Benchmarks) != 2 {
-			t.Fatalf("perEval=%v: %d records, want 2", perEval, len(rep.Benchmarks))
+		// One pipeline run per problem instance (counted both as a
+		// compilation and a skeleton compile), one bind per
+		// evaluation/point.
+		if b.Compilations != int64(b.Instances) || b.SkeletonCompiles != int64(b.Instances) {
+			t.Errorf("%s compiles=%d skeletons=%d, want %d each",
+				b.Name, b.Compilations, b.SkeletonCompiles, b.Instances)
 		}
-		for _, b := range rep.Benchmarks {
-			if b.Evaluations <= 0 {
-				t.Errorf("perEval=%v: %s ran %d evaluations", perEval, b.Name, b.Evaluations)
-			}
-			if perEval {
-				if b.Compilations != b.Evaluations || b.SkeletonCompiles != 0 || b.Binds != 0 {
-					t.Errorf("perEval: %s compiles=%d skeletons=%d binds=%d, want evals=%d compiles, no skeleton work",
-						b.Name, b.Compilations, b.SkeletonCompiles, b.Binds, b.Evaluations)
-				}
-				continue
-			}
-			// Skeleton mode: one pipeline run per problem instance (counted
-			// both as a compilation and a skeleton compile), one bind per
-			// evaluation/point.
-			if b.Compilations != int64(b.Instances) || b.SkeletonCompiles != int64(b.Instances) {
-				t.Errorf("bind: %s compiles=%d skeletons=%d, want %d each",
-					b.Name, b.Compilations, b.SkeletonCompiles, b.Instances)
-			}
-			if b.Binds != b.Evaluations {
-				t.Errorf("bind: %s binds=%d, want one per evaluation (%d)", b.Name, b.Binds, b.Evaluations)
-			}
+		if b.Binds != b.Evaluations {
+			t.Errorf("%s binds=%d, want one per evaluation (%d)", b.Name, b.Binds, b.Evaluations)
 		}
 	}
 }

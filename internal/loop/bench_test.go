@@ -11,11 +11,11 @@ import (
 	"repro/internal/qaoa"
 )
 
-// The loop-level A/B pair the CI compile-bench job gates on: one hybrid
-// evaluation with the legacy full-compile path versus the skeleton bind
-// path. Each iteration builds a fresh evaluator seeded identically, so the
-// reported work counters (compilations/op, binds/op) are deterministic —
-// any growth is a real regression, not benchstat noise.
+// The loop benchmark the CI compile-bench job gates on: a batch of hybrid
+// evaluations on the skeleton bind path. Each iteration builds a fresh
+// evaluator seeded identically, so the reported work counters
+// (compilations/op, binds/op) are deterministic — any growth is a real
+// regression, not benchstat noise.
 
 func benchProblem(b *testing.B) *qaoa.Problem {
 	b.Helper()
@@ -32,7 +32,7 @@ const benchEvalsPerOp = 8
 // benchEvaluations runs a fixed batch of evaluations per op — the shape of
 // an optimizer's inner loop — and reports the deterministic compile-work
 // counters.
-func benchEvaluations(b *testing.B, prob *qaoa.Problem, perEval bool) {
+func benchEvaluations(b *testing.B, prob *qaoa.Problem) {
 	angles := make([]qaoa.Params, benchEvalsPerOp)
 	for i := range angles {
 		angles[i] = qaoa.Params{Gamma: []float64{0.1 * float64(i+1)}, Beta: []float64{0.07 * float64(i+1)}}
@@ -45,7 +45,6 @@ func benchEvaluations(b *testing.B, prob *qaoa.Problem, perEval bool) {
 			Prob: prob, Dev: device.Melbourne15(), Preset: compile.PresetIC,
 			P: 1, Shots: 64, Trajectories: 2,
 			Rng: rand.New(rand.NewSource(31)), Obs: obs,
-			CompilePerEval: perEval,
 		}
 		for _, params := range angles {
 			if _, err := hw.Expectation(params); err != nil {
@@ -59,10 +58,6 @@ func benchEvaluations(b *testing.B, prob *qaoa.Problem, perEval bool) {
 	b.ReportMetric(float64(obs.Counter(obsv.CntCompileBinds))/n, "binds/op")
 }
 
-func BenchmarkLoopCompilePerEval(b *testing.B) {
-	benchEvaluations(b, benchProblem(b), true)
-}
-
 func BenchmarkLoopBindPerEval(b *testing.B) {
-	benchEvaluations(b, benchProblem(b), false)
+	benchEvaluations(b, benchProblem(b))
 }

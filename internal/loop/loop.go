@@ -48,11 +48,12 @@ func (e *SimEvaluator) Expectation(params qaoa.Params) (float64, error) {
 // ibmq_16_melbourne, against our simulator substitute. Each evaluation is
 // stochastic; use enough shots for stable gradients-free optimization.
 //
-// The circuit structure is angle-independent, so by default the evaluator
-// compiles a routed skeleton once (on the first Expectation call) and
-// binds each angle set into a reused buffer — the routing cost amortizes
-// over the whole optimization instead of recurring per evaluation. Set
-// CompilePerEval to recover the legacy full-compile-per-evaluation flow.
+// The circuit structure is angle-independent, so the evaluator compiles a
+// routed skeleton once (on the first Expectation call) and binds each
+// angle set into a reused buffer — the routing cost amortizes over the
+// whole optimization instead of recurring per evaluation. Each bound
+// circuit is byte-identical to a full compile of those angles with the
+// skeleton's seeded options.
 //
 // A HardwareEvaluator is NOT goroutine-safe: Expectation mutates the
 // evaluator's lazily-initialized state (rng, noise model, skeleton, bind
@@ -75,11 +76,6 @@ type HardwareEvaluator struct {
 	// Obs, when non-nil, times each evaluation (span loop/expectation),
 	// counts them (loop/evaluations) and is forwarded to every compilation.
 	Obs *obsv.Collector
-	// CompilePerEval disables skeleton reuse: every Expectation call runs
-	// the full mapping/ordering/routing pipeline on the concrete angles,
-	// with the rng evolving across evaluations. This is the pre-skeleton
-	// behavior, kept as the test oracle and for A/B benchmarking.
-	CompilePerEval bool
 
 	// Lazily-initialized evaluation state (see ensure).
 	noise *sim.NoiseModel
@@ -106,10 +102,10 @@ func (e *HardwareEvaluator) defaultSeed() int64 {
 }
 
 // ensure hoists the lazy initialization out of the evaluation path: the
-// default-seeded rng, the derived noise model, and (unless CompilePerEval)
-// the one-time skeleton compile. It is idempotent and called by every
-// Expectation, so a zero-value evaluator still works; calling it mutates
-// the evaluator, which is why sharing one across goroutines is unsafe.
+// default-seeded rng, the derived noise model, and the one-time skeleton
+// compile. It is idempotent and called by every Expectation, so a
+// zero-value evaluator still works; calling it mutates the evaluator,
+// which is why sharing one across goroutines is unsafe.
 func (e *HardwareEvaluator) ensure() error {
 	if e.Prob == nil || e.Dev == nil {
 		return fmt.Errorf("loop: HardwareEvaluator needs Prob and Dev")
@@ -123,7 +119,7 @@ func (e *HardwareEvaluator) ensure() error {
 			e.noise = sim.NoiseFromDevice(e.Dev)
 		}
 	}
-	if e.skel == nil && !e.CompilePerEval {
+	if e.skel == nil {
 		ps, err := compile.ParamSpecFromMaxCut(e.Prob, e.Levels())
 		if err != nil {
 			return err
@@ -146,8 +142,8 @@ func (e *HardwareEvaluator) ctx() context.Context {
 	return context.Background() //lint:allow ctxflow: a zero-value evaluator runs unbounded by design
 }
 
-// Expectation compiles (or binds the cached skeleton), noisily samples,
-// and averages the cost.
+// Expectation binds the angles into the skeleton, noisily samples, and
+// averages the cost.
 func (e *HardwareEvaluator) Expectation(params qaoa.Params) (float64, error) {
 	if err := e.ensure(); err != nil {
 		return 0, err
@@ -155,15 +151,7 @@ func (e *HardwareEvaluator) Expectation(params qaoa.Params) (float64, error) {
 	span := e.Obs.StartSpan(obsv.SpanLoopExpectation)
 	defer span.End()
 	e.Obs.Inc(obsv.CntLoopEvaluations)
-	var res *compile.Result
-	var err error
-	if e.CompilePerEval {
-		copts := e.Preset.Options(e.Rng)
-		copts.Obs = e.Obs
-		res, err = compile.CompileContext(e.ctx(), e.Prob, params, e.Dev, copts)
-	} else {
-		res, err = e.skel.BindTo(&e.buf, params)
-	}
+	res, err := e.skel.BindTo(&e.buf, params)
 	if err != nil {
 		return 0, err
 	}

@@ -117,7 +117,6 @@ type ErrorResponse struct {
 // parsedRequest is a validated, canonicalized compile request ready to key
 // the cache and drive a flight.
 type parsedRequest struct {
-	spec     compile.Spec
 	dev      *device.Device
 	deviceID string // registered "name@epoch" or "inline:<fingerprint>"
 	devName  string
@@ -126,28 +125,18 @@ type parsedRequest struct {
 	packing  int
 	optimize bool
 	emitQASM bool
-	key      string        // full cache/singleflight key (includes angles)
+	key      string        // full cache key (includes angles)
 	wait     time.Duration // client wait budget (0 = server default)
 
-	// Parameterized-compilation view of the same request: the angle-free
-	// structure, the angles to bind, and the angle-free skeleton-tier key.
-	// Unused (skelKey empty) for optimize requests — peephole rewriting is
-	// angle-dependent, so those can only be cached post-bind.
+	// The request split for parameterized compilation: the angle-free
+	// structure, the angles to bind, and the angle-free skeleton-tier key,
+	// which also keys the singleflight group — concurrent distinct-angle
+	// requests over one structure share a single routing pass and each
+	// waiter binds its own angles.
 	paramSpec compile.ParamSpec
 	gamma     []float64
 	beta      []float64
 	skelKey   string
-}
-
-// flightKey keys the singleflight group: skeleton-eligible requests
-// deduplicate on the angle-free key, so concurrent distinct-angle requests
-// over the same structure share a single routing pass and each waiter binds
-// its own angles.
-func (p *parsedRequest) flightKey() string {
-	if p.skelKey != "" {
-		return p.skelKey
-	}
-	return p.key
 }
 
 // parseRequest validates and canonicalizes req against the device registry.
@@ -277,25 +266,15 @@ func (s *Server) parseRequest(req *CompileRequest) (*parsedRequest, error) {
 		}
 	}
 
-	p.spec = compile.Spec{N: c.N, Levels: make([]compile.LevelSpec, levels)}
-	for l := 0; l < levels; l++ {
-		terms := make([]compile.ZZTerm, len(canon))
-		for i, e := range canon {
-			terms[i] = compile.ZZTerm{U: e.u, V: e.v, Theta: -gamma[l] * e.w}
-		}
-		p.spec.Levels[l] = compile.LevelSpec{ZZ: terms, MixerBeta: beta[l]}
-	}
-	if err := p.spec.Validate(); err != nil {
-		return nil, err
-	}
-
-	// The same request, angle-free: the skeleton tier compiles this once per
-	// structure and binds gamma/beta per request. The term order matches the
-	// spec's, so a bound skeleton is byte-identical to the direct compile.
+	// The angle-free structure: the skeleton tier compiles it once and
+	// binds gamma/beta per request.
 	p.gamma, p.beta = gamma, beta
 	p.paramSpec = compile.ParamSpec{N: c.N, P: levels, Terms: make([]compile.WeightedTerm, len(canon))}
 	for i, e := range canon {
 		p.paramSpec.Terms[i] = compile.WeightedTerm{U: e.u, V: e.v, Weight: e.w}
+	}
+	if err := p.paramSpec.Validate(); err != nil {
+		return nil, err
 	}
 
 	// Cache key: canonical graph hash × device(+epoch) × preset × config.
@@ -311,17 +290,14 @@ func (s *Server) parseRequest(req *CompileRequest) (*parsedRequest, error) {
 	p.key = hex.EncodeToString(h.Sum(nil))
 
 	// Skeleton-tier key: the full key's layout minus the angle lines, plus a
-	// marker so the two keyspaces can never collide. Optimize requests get
-	// no skeleton key — their gate structure depends on the angles.
-	if !p.optimize {
-		h = sha256.New()
-		fmt.Fprintf(h, "skeleton\ndev=%s\npreset=%s\nseed=%d\npacking=%d\nn=%d\np=%d\n",
-			p.deviceID, p.preset, p.seed, p.packing, c.N, levels)
-		for _, e := range canon {
-			fmt.Fprintf(h, "%d %d %g\n", e.u, e.v, e.w)
-		}
-		p.skelKey = hex.EncodeToString(h.Sum(nil))
+	// marker so the two keyspaces can never collide.
+	h = sha256.New()
+	fmt.Fprintf(h, "skeleton\ndev=%s\npreset=%s\nseed=%d\npacking=%d\noptimize=%t\nn=%d\np=%d\n",
+		p.deviceID, p.preset, p.seed, p.packing, p.optimize, c.N, levels)
+	for _, e := range canon {
+		fmt.Fprintf(h, "%d %d %g\n", e.u, e.v, e.w)
 	}
+	p.skelKey = hex.EncodeToString(h.Sum(nil))
 	return p, nil
 }
 

@@ -401,24 +401,22 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// same angle-free structure is still a cache hit — binding the angles
 	// costs microseconds, not a routing pass. The bound outcome fills the
 	// full-key tier so the exact-angle repeat is a first-tier hit.
-	if p.skelKey != "" {
-		if se, ok := s.skels.get(p.skelKey); ok {
-			out, err := s.bindOutcome(p, se)
-			if err != nil {
-				s.obs.Inc(obsv.CntServeErrors)
-				writeJSON(w, http.StatusInternalServerError, ErrorResponse{Status: "error", Kind: "compile_failed", Error: err.Error()})
-				s.finishRequest(rs, http.StatusInternalServerError, "compile_failed", err.Error())
-				return
-			}
-			s.cache.put(p.key, p.deviceID, out)
-			s.obs.Inc(obsv.CntServeOK)
-			rs.rec.CacheHit = true
-			rs.rec.SkeletonHit = true
-			rs.fillOutcome(out)
-			writeJSON(w, http.StatusOK, buildResponse(p, out, true))
-			s.finishRequest(rs, http.StatusOK, "ok", "")
+	if se, ok := s.skels.get(p.skelKey); ok {
+		out, err := s.bindOutcome(p, se)
+		if err != nil {
+			s.obs.Inc(obsv.CntServeErrors)
+			writeJSON(w, http.StatusInternalServerError, ErrorResponse{Status: "error", Kind: "compile_failed", Error: err.Error()})
+			s.finishRequest(rs, http.StatusInternalServerError, "compile_failed", err.Error())
 			return
 		}
+		s.cache.put(p.key, p.deviceID, out)
+		s.obs.Inc(obsv.CntServeOK)
+		rs.rec.CacheHit = true
+		rs.rec.SkeletonHit = true
+		rs.fillOutcome(out)
+		writeJSON(w, http.StatusOK, buildResponse(p, out, true))
+		s.finishRequest(rs, http.StatusOK, "ok", "")
+		return
 	}
 
 	// Client wait budget: request deadline_ms, clamped, else the default.
@@ -432,7 +430,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), wait)
 	defer cancel()
 
-	f, leader := s.flights.join(p.flightKey())
+	f, leader := s.flights.join(p.skelKey)
 	if leader {
 		s.flightWG.Add(1)
 		go s.runFlight(p, f, id)
@@ -537,21 +535,17 @@ func (s *Server) respondFlight(w http.ResponseWriter, p *parsedRequest, f *fligh
 	rs.rec.Breaker = f.breaker
 	switch {
 	case f.err == nil:
-		out := f.out
-		if out == nil && f.skel != nil {
-			// Skeleton flight: this waiter binds its own angles — possibly
-			// different from every other waiter's — and caches the bound
-			// outcome under its own full key.
-			var err error
-			out, err = s.bindOutcome(p, f.skel)
-			if err != nil {
-				s.obs.Inc(obsv.CntServeErrors)
-				writeJSON(w, http.StatusInternalServerError, ErrorResponse{Status: "error", Kind: "compile_failed", Error: err.Error()})
-				s.finishRequest(rs, http.StatusInternalServerError, "compile_failed", err.Error())
-				return
-			}
-			s.cache.put(p.key, p.deviceID, out)
+		// This waiter binds its own angles — possibly different from every
+		// other waiter's — and caches the bound outcome under its own full
+		// key.
+		out, err := s.bindOutcome(p, f.skel)
+		if err != nil {
+			s.obs.Inc(obsv.CntServeErrors)
+			writeJSON(w, http.StatusInternalServerError, ErrorResponse{Status: "error", Kind: "compile_failed", Error: err.Error()})
+			s.finishRequest(rs, http.StatusInternalServerError, "compile_failed", err.Error())
+			return
 		}
+		s.cache.put(p.key, p.deviceID, out)
 		s.obs.Inc(obsv.CntServeOK)
 		rs.fillOutcome(out)
 		writeJSON(w, http.StatusOK, buildResponse(p, out, false))
@@ -586,13 +580,10 @@ func (s *Server) respondFlight(w http.ResponseWriter, p *parsedRequest, f *fligh
 // joins the flight back to that request (waiters of the same flight share
 // the leader's compilation and therefore its trace).
 //
-// Skeleton-eligible flights (every non-optimize request) compile the
-// angle-free routed skeleton and publish it on the flight; each waiter then
-// binds its own angles in respondFlight. Optimize flights keep the concrete
-// compile and publish the finished outcome.
+// Every flight compiles the angle-free routed skeleton and publishes it on
+// the flight; each waiter then binds its own angles in respondFlight.
 func (s *Server) runFlight(p *parsedRequest, f *flight, reqID string) {
 	defer s.flightWG.Done()
-	fkey := p.flightKey()
 
 	qstart := time.Now()
 	qctx, qcancel := context.WithTimeout(s.baseCtx, s.cfg.QueueTimeout)
@@ -606,7 +597,7 @@ func (s *Server) runFlight(p *parsedRequest, f *flight, reqID string) {
 			// overload, same as an instantly full queue.
 			err = errShed
 		}
-		s.flights.finish(fkey, f, nil, err)
+		s.flights.finish(p.skelKey, f, err)
 		return
 	}
 	defer release()
@@ -616,7 +607,7 @@ func (s *Server) runFlight(p *parsedRequest, f *flight, reqID string) {
 		f.breaker = state
 	}
 	if !ok {
-		s.flights.finish(fkey, f, nil, errAllBreakersOpen)
+		s.flights.finish(p.skelKey, f, errAllBreakersOpen)
 		return
 	}
 
@@ -640,33 +631,17 @@ func (s *Server) runFlight(p *parsedRequest, f *flight, reqID string) {
 		Obs:            s.obs,
 		Trace:          tr,
 	}
-	var out *outcome
+	sk, err := compile.CompileSkeletonResilient(cctx, p.paramSpec, p.dev, start, fo)
 	var fb *compile.FallbackInfo
-	if p.skelKey != "" {
-		var sk *compile.Skeleton
-		sk, err = compile.CompileSkeletonResilient(cctx, p.paramSpec, p.dev, start, fo)
-		if err == nil {
-			fb = sk.Fallback()
-			f.skel = &skelEntry{skel: sk, start: start, rerouted: rerouted, trace: tr.Events()}
-			s.skels.put(p.skelKey, p.deviceID, f.skel)
-		}
-	} else {
-		var res *compile.Result
-		res, err = compile.CompileSpecResilient(cctx, p.spec, p.dev, start, fo)
-		if err == nil {
-			fb = res.Fallback
-			out = buildOutcome(p, res, start, rerouted, tr.Events())
-			s.cache.put(p.key, p.deviceID, out)
-		}
+	if err == nil {
+		fb = sk.Fallback()
+		f.skel = &skelEntry{skel: sk, start: start, rerouted: rerouted, trace: tr.Events()}
+		s.skels.put(p.skelKey, p.deviceID, f.skel)
 	}
 	cspan.End()
 
 	s.breakers.observe(fb, attemptsOf(fb, err, start))
-	if err != nil {
-		s.flights.finish(fkey, f, nil, err)
-		return
-	}
-	s.flights.finish(fkey, f, out, nil)
+	s.flights.finish(p.skelKey, f, err)
 }
 
 // bindBufs pools bind buffers across requests: a bind writes the angles

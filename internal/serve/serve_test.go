@@ -16,6 +16,8 @@ import (
 	"repro/internal/compile"
 	"repro/internal/device"
 	"repro/internal/obsv"
+	"repro/internal/qaoa"
+	"repro/internal/qasm"
 )
 
 // newTestServer builds a ready server plus its HTTP test harness.
@@ -746,28 +748,77 @@ func TestSkeletonBindMatchesDirectCompile(t *testing.T) {
 	}
 }
 
-// Optimize requests are angle-dependent post-bind, so they bypass the
-// skeleton tier entirely.
-func TestOptimizeRequestsBypassSkeletonTier(t *testing.T) {
+// Optimize requests ride the skeleton tier like any other: peephole runs
+// after the bind, so a second optimize request with new angles is a
+// skeleton hit, one compile flight serves both, and the response is byte
+// for byte the resilient concrete compile with Optimize. Optimize is part
+// of the skeleton key, so a plain request on the same structure compiles
+// its own skeleton and gets the un-peepholed circuit.
+func TestOptimizeRequestsUseSkeletonTier(t *testing.T) {
 	s, ts, col := newTestServer(t, Config{})
-	req := angleRequest("tokyo", 6, 3, "IC", []float64{0.5}, []float64{0.2})
-	req.Config.Optimize = true
-	if st, _, _ := postCompile(t, ts.URL, req); st != http.StatusOK {
-		t.Fatalf("optimize compile failed")
+	optimizeRequest := func(gamma, beta float64, optimize bool) CompileRequest {
+		req := angleRequest("tokyo", 6, 3, "IC", []float64{gamma}, []float64{beta})
+		req.Config.Optimize = optimize
+		req.Config.EmitQASM = true
+		return req
 	}
-	req2 := angleRequest("tokyo", 6, 3, "IC", []float64{0.9}, []float64{0.1})
-	req2.Config.Optimize = true
-	if st, got, _ := postCompile(t, ts.URL, req2); st != http.StatusOK || got.Cached {
-		t.Fatalf("second optimize request: status %d cached %v", st, got.Cached)
+	// oracle compiles req directly, the way the service compiled before
+	// skeletons covered optimize traffic.
+	oracle := func(req CompileRequest) *compile.Result {
+		t.Helper()
+		p, err := s.parseRequest(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := p.paramSpec.Spec(qaoa.Params{Gamma: p.gamma, Beta: p.beta})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := compile.CompileSpecResilient(context.Background(), spec, p.dev, p.preset,
+			compile.FallbackOptions{Seed: p.seed, Optimize: p.optimize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	if s.SkeletonCacheLen() != 0 {
-		t.Errorf("skeleton cache has %d entries for optimize traffic, want 0", s.SkeletonCacheLen())
+	requireOracle := func(label string, got CompileResponse, want *compile.Result) {
+		t.Helper()
+		if got.Circuit != want.Circuit.String() || got.QASM != qasm.Export(want.Native) {
+			t.Fatalf("%s: response circuit/QASM differ from the concrete compile", label)
+		}
+		if got.Swaps != want.SwapCount || got.Depth != want.Depth || got.Gates != want.GateCount {
+			t.Fatalf("%s: metrics %d/%d/%d, concrete compile %d/%d/%d", label,
+				got.Swaps, got.Depth, got.Gates, want.SwapCount, want.Depth, want.GateCount)
+		}
 	}
-	if n := col.Counter(obsv.CntServeSkeletonHits) + col.Counter(obsv.CntServeSkeletonMisses); n != 0 {
-		t.Errorf("skeleton tier touched %d times by optimize traffic, want 0", n)
+
+	if st, got, _ := postCompile(t, ts.URL, optimizeRequest(0.5, 0.2, true)); st != http.StatusOK || got.Cached {
+		t.Fatalf("first optimize request: status %d cached %v", st, got.Cached)
 	}
-	if n := col.Counter(obsv.CntServeCompiles); n != 2 {
-		t.Errorf("%d compile flights, want 2", n)
+	req := optimizeRequest(0, 0.1, true)
+	st, opt, _ := postCompile(t, ts.URL, req)
+	if st != http.StatusOK || !opt.Cached {
+		t.Fatalf("second optimize request: status %d cached %v, want a skeleton hit", st, opt.Cached)
+	}
+	if n := col.Counter(obsv.CntServeSkeletonHits); n != 1 {
+		t.Errorf("skeleton hits = %d, want 1", n)
+	}
+	if n := col.Counter(obsv.CntServeCompiles); n != 1 {
+		t.Errorf("%d compile flights, want 1", n)
+	}
+	requireOracle("optimize", opt, oracle(req))
+
+	plainReq := optimizeRequest(0, 0.1, false)
+	st, plain, _ := postCompile(t, ts.URL, plainReq)
+	if st != http.StatusOK || plain.Cached {
+		t.Fatalf("plain request: status %d cached %v, want its own compile", st, plain.Cached)
+	}
+	requireOracle("plain", plain, oracle(plainReq))
+	if plain.Gates <= opt.Gates {
+		t.Errorf("plain request has %d gates, optimized %d: peephole did not run on the optimize bind", plain.Gates, opt.Gates)
+	}
+	if s.SkeletonCacheLen() != 2 {
+		t.Errorf("skeleton cache has %d entries, want 2 (optimize and plain)", s.SkeletonCacheLen())
 	}
 }
 
