@@ -25,7 +25,8 @@ const (
 //	CPhase(θ)  → CNOT · U1(θ) on target · CNOT   (exact ZZ identity)
 //	Swap       → 3 CNOTs
 //
-// Barriers are dropped; measurements pass through unchanged.
+// Barriers are dropped; measurements pass through unchanged. A rotation's
+// Gate.Slot moves onto the U1 or U3 it lowers to.
 func (c *Circuit) Decompose(basis Basis) *Circuit {
 	if basis != BasisIBM {
 		panic("circuit: unknown basis")
@@ -47,11 +48,11 @@ func (c *Circuit) Decompose(basis Basis) *Circuit {
 		case Z:
 			out.Append(NewU1(g.Q0, math.Pi))
 		case RZ:
-			out.Append(NewU1(g.Q0, g.Params[0]))
+			out.Append(NewU1(g.Q0, g.Params[0]).withSlot(g.Slot))
 		case RX:
-			out.Append(NewU3(g.Q0, g.Params[0], -math.Pi/2, math.Pi/2))
+			out.Append(NewU3(g.Q0, g.Params[0], -math.Pi/2, math.Pi/2).withSlot(g.Slot))
 		case RY:
-			out.Append(NewU3(g.Q0, g.Params[0], 0, 0))
+			out.Append(NewU3(g.Q0, g.Params[0], 0, 0).withSlot(g.Slot))
 		case U1, U2, U3, CNOT, Measure:
 			out.Append(g)
 		case CZ:
@@ -63,7 +64,7 @@ func (c *Circuit) Decompose(basis Basis) *Circuit {
 		case CPhase:
 			out.Append(
 				NewCNOT(g.Q0, g.Q1),
-				NewU1(g.Q1, g.Params[0]),
+				NewU1(g.Q1, g.Params[0]).withSlot(g.Slot),
 				NewCNOT(g.Q0, g.Q1),
 			)
 		case Swap:
@@ -107,4 +108,10 @@ func NativeCNOTCost(k Kind) int {
 	default:
 		return 0
 	}
+}
+
+// withSlot returns g tagged with angle slot s.
+func (g Gate) withSlot(s int32) Gate {
+	g.Slot = s
+	return g
 }

@@ -14,7 +14,7 @@ import (
 
 // Kind enumerates the gate set understood by the IR, the router and the
 // simulator.
-type Kind int
+type Kind int32
 
 // Gate kinds. CPhase is the commuting two-qubit cost gate of QAOA: the
 // ZZ-interaction exp(-i θ/2 Z⊗Z), which equals the MaxCut cost unitary up to
@@ -99,8 +99,15 @@ func (k Kind) NumParams() int {
 // Gate is a single operation. For two-qubit gates Q0 is the control (or the
 // first operand for symmetric gates) and Q1 the target; for one-qubit gates
 // Q1 is -1.
+//
+// Slot names the symbolic angle Params[0] was bound from, 0 meaning none.
+// The QAOA front end tags each cost CPhase and mixer RX with its slot,
+// passes move the tag with the gate, and Decompose carries it onto the U1
+// or U3 a rotation lowers to, so a compiled skeleton finds its angles by
+// tag. Slot is bookkeeping: no unitary, text or QASM output reads it.
 type Gate struct {
 	Kind   Kind
+	Slot   int32
 	Q0, Q1 int
 	Params [3]float64
 }

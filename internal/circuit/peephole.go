@@ -147,7 +147,9 @@ func merge(prev, g Gate) (Gate, bool) {
 			return Gate{}, false
 		}
 	}
+	// The merged angle is the sum of two slots' angles, so it names neither.
 	m := prev
+	m.Slot = 0
 	m.Params[0] = NormalizeAngle(prev.Params[0] + g.Params[0])
 	return m, true
 }

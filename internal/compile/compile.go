@@ -284,10 +284,10 @@ func compileWhole(ctx context.Context, spec Spec, dev *device.Device, initial *r
 		}
 		emitLocals(logical, level, func(q int) int { return q })
 		for _, t := range ordered {
-			logical.Append(circuit.NewCPhase(t.U, t.V, t.Theta))
+			logical.Append(t.gate())
 		}
 		for q := 0; q < spec.N; q++ {
-			logical.Append(circuit.NewRX(q, 2*level.MixerBeta))
+			logical.Append(level.mixer(q))
 		}
 	}
 	if o.Measure {
@@ -381,7 +381,7 @@ func compileIncremental(ctx context.Context, spec Spec, dev *device.Device, init
 			// Route the single-layer partial circuit from the live layout.
 			partial.Gates = partial.Gates[:0]
 			for _, t := range layer {
-				partial.Append(circuit.NewCPhase(t.U, t.V, t.Theta))
+				partial.Append(t.gate())
 			}
 			orderTime += time.Since(orderStart) //lint:allow determinism: measured pass span, stripped by the gates
 			o.Trace.EndPass(StageOrder)
@@ -419,7 +419,7 @@ func compileIncremental(ctx context.Context, spec Spec, dev *device.Device, init
 		}
 		// Mixer layer under the current layout.
 		for q := 0; q < n; q++ {
-			out.Append(circuit.NewRX(layout.Phys(q), 2*level.MixerBeta))
+			out.Append(level.mixer(layout.Phys(q)))
 		}
 	}
 	if o.Measure {

@@ -3,6 +3,7 @@ package compile
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/circuit"
@@ -23,19 +24,18 @@ import (
 // concrete Result for any angle set by writing phases into a preallocated
 // gate buffer — zero routing work, near-zero allocation per evaluation.
 //
-// The mechanism: the skeleton is compiled from a spec whose rotation
-// angles are unique sentinel values (large exact integers no real angle
-// schedule produces). The pipeline carries angles through untouched —
-// CPhase(θ) decomposes to CNOT·U1(θ)·CNOT and RX(θ) to U3(θ,−π/2,π/2),
-// with no normalization or arithmetic on θ — so scanning the routed
-// high-level and native circuits for the sentinels recovers exactly which
-// gate slot belongs to which (level, role, term), no matter how the
-// ordering passes permuted the terms. Peephole optimization merges
-// rotations by value and is the one angle-dependent pass, but it is also
-// the last: CompileSkeleton routes without it, and binding an Optimize
-// skeleton runs the same peephole → decompose → peephole tail
-// (Result.lower) on the bound circuit that the concrete compile runs on
-// its routed one.
+// The mechanism: the angle slots live in the IR. ParamSpec.Spec tags
+// every cost term with its (level, term) slot and every level's mixer
+// with its level slot; the front end stamps the tag on the CPhase or RX
+// it emits (circuit.Gate.Slot), the router moves whole gates, and
+// Decompose carries the tag onto the U1 or U3 the rotation lowers to. So
+// reading the tags of the routed high-level and native circuits recovers
+// exactly which gate belongs to which slot, no matter how the ordering
+// passes permuted the terms. Peephole optimization merges rotations by
+// value and is the one angle-dependent pass, but it is also the last:
+// CompileSkeleton routes without it, and binding an Optimize skeleton
+// runs the same peephole → decompose → peephole tail (Result.lower) on
+// the bound circuit that the concrete compile runs on its routed one.
 
 // WeightedTerm is one ZZ interaction of a parameterized cost Hamiltonian:
 // at bind time the level-l cost phase of the (U,V) term is −γ[l]·Weight.
@@ -93,8 +93,8 @@ func (ps ParamSpec) Validate() error {
 			return fmt.Errorf("compile: param spec term %d has invalid pair (%d,%d)", i, t.U, t.V)
 		}
 	}
-	if ps.P*(len(ps.Terms)+1) >= maxSkeletonSlots {
-		return fmt.Errorf("compile: param spec needs %d angle slots, beyond the %d the sentinel encoding distinguishes", ps.P*(len(ps.Terms)+1), maxSkeletonSlots)
+	if ps.P > math.MaxInt32/(len(ps.Terms)+1) {
+		return fmt.Errorf("compile: param spec needs %d×%d angle slots, beyond the int32 slot range", ps.P, len(ps.Terms)+1)
 	}
 	return nil
 }
@@ -102,6 +102,8 @@ func (ps ParamSpec) Validate() error {
 // Spec concretizes the parameterized spec for one angle set, with the
 // exact arithmetic Bind uses (cost phase −γ[l]·Weight, mixer β[l]) so the
 // per-angle-set pipeline remains a bit-identical oracle for the skeleton.
+// Every term and mixer carries its angle slot: cost (l, k) is l·T+k+1 and
+// mixer l is P·T+l+1, for T terms.
 func (ps ParamSpec) Spec(params qaoa.Params) (Spec, error) {
 	if err := ps.Validate(); err != nil {
 		return Spec{}, err
@@ -112,63 +114,81 @@ func (ps ParamSpec) Spec(params qaoa.Params) (Spec, error) {
 	if params.P() != ps.P {
 		return Spec{}, fmt.Errorf("compile: %d-level params for a %d-level param spec", params.P(), ps.P)
 	}
+	T := len(ps.Terms)
 	s := Spec{N: ps.N, Levels: make([]LevelSpec, ps.P)}
 	for l := range s.Levels {
-		terms := make([]ZZTerm, len(ps.Terms))
+		terms := make([]ZZTerm, T)
 		for k, t := range ps.Terms {
-			terms[k] = ZZTerm{U: t.U, V: t.V, Theta: -params.Gamma[l] * t.Weight}
+			terms[k] = ZZTerm{U: t.U, V: t.V, Theta: -params.Gamma[l] * t.Weight, slot: int32(l*T + k + 1)}
 		}
-		s.Levels[l] = LevelSpec{ZZ: terms, MixerBeta: params.Beta[l]}
+		s.Levels[l] = LevelSpec{ZZ: terms, MixerBeta: params.Beta[l], mixerSlot: int32(ps.P*T + l + 1)}
 	}
 	return s, nil
 }
 
-// Sentinel encoding: each angle slot of the skeleton compile carries a
-// unique exact-integer float64 far outside any real angle schedule. Cost
-// slot (level l, term k) maps to costSentinelBase + l·T + k + 1 and the
-// level-l mixer to mixerSentinelBase + l + 1; the bases are two apart in
-// exponent so the ranges cannot collide, and every value (including the
-// 2×mixer the RX layer emits) stays an exact integer well below 2^53.
-const (
-	costSentinelBase  = float64(1 << 40)
-	mixerSentinelBase = float64(1 << 41)
-	maxSkeletonSlots  = 1 << 38
-)
+// slotRef records that the template gate at index gate carries an angle of
+// QAOA level level: the cost phase of Terms[term], or the mixer angle.
+type slotRef struct{ gate, level, term int32 }
 
-func (ps ParamSpec) costSentinel(l, k int) float64 {
-	return costSentinelBase + float64(l*len(ps.Terms)+k+1)
+// template is one circuit of a skeleton with the gates that carry its
+// cost and mixer slots.
+type template struct {
+	c            *circuit.Circuit
+	costs, mixes []slotRef
 }
 
-func (ps ParamSpec) mixerSentinel(l int) float64 {
-	return mixerSentinelBase + float64(l+1)
-}
-
-// sentinelSpec builds the concrete Spec whose angles are the slot
-// sentinels.
-func (ps ParamSpec) sentinelSpec() Spec {
-	s := Spec{N: ps.N, Levels: make([]LevelSpec, ps.P)}
-	for l := range s.Levels {
-		terms := make([]ZZTerm, len(ps.Terms))
-		for k, t := range ps.Terms {
-			terms[k] = ZZTerm{U: t.U, V: t.V, Theta: ps.costSentinel(l, k)}
+// slotTemplate reads the slot tags of a compiled circuit. Every cost slot
+// must occur exactly once and every mixer slot once per qubit: anything
+// else means a pass dropped, duplicated or invented an angle, which would
+// bind silently wrong — fail loud instead.
+func (ps ParamSpec) slotTemplate(c *circuit.Circuit) (*template, error) {
+	T := len(ps.Terms)
+	nCost := ps.P * T
+	t := &template{c: c, costs: make([]slotRef, 0, nCost), mixes: make([]slotRef, 0, ps.P*ps.N)}
+	seen := make([]int, nCost+ps.P)
+	for i, g := range c.Gates {
+		if g.Slot == 0 {
+			continue
 		}
-		s.Levels[l] = LevelSpec{ZZ: terms, MixerBeta: ps.mixerSentinel(l)}
+		s := int(g.Slot) - 1
+		if s < 0 || s >= len(seen) {
+			return nil, fmt.Errorf("gate %d: %v carries slot %d, outside the spec's %d slots", i, g.Kind, g.Slot, len(seen))
+		}
+		seen[s]++
+		if s < nCost {
+			t.costs = append(t.costs, slotRef{gate: int32(i), level: int32(s / T), term: int32(s % T)})
+		} else {
+			t.mixes = append(t.mixes, slotRef{gate: int32(i), level: int32(s - nCost)})
+		}
 	}
-	return s
+	for s, n := range seen {
+		want := 1
+		if s >= nCost {
+			want = ps.N
+		}
+		if n != want {
+			return nil, fmt.Errorf("angle slot %d occurs %d times, want %d", s+1, n, want)
+		}
+	}
+	return t, nil
 }
 
-// costSlot records that template gate Gate carries the cost phase of
-// (level Level, Terms[Term]); mixSlot that it carries the level-Level
-// mixer angle.
-type costSlot struct {
-	gate  int32
-	level int32
-	term  int32
-}
-
-type mixSlot struct {
-	gate  int32
-	level int32
+// bindInto copies the template into dst and overwrites its angle slots
+// with the concrete angles, using exactly the arithmetic the concrete
+// pipeline uses (−γ[l]·w cost phases, 2β[l] mixer rotations) so equality
+// is bitwise, not just numeric.
+//
+//qaoa:hotpath
+func (t *template) bindInto(dst *circuit.Circuit, terms []WeightedTerm, params qaoa.Params) {
+	dst.NQubits = t.c.NQubits
+	//lint:allow hotpath: high-water reuse — the copy grows dst once, then binds are allocation-free (BenchmarkSkeletonBindTo)
+	dst.Gates = append(dst.Gates[:0], t.c.Gates...)
+	for _, cs := range t.costs {
+		dst.Gates[cs.gate].Params[0] = -params.Gamma[cs.level] * terms[cs.term].Weight
+	}
+	for _, ms := range t.mixes {
+		dst.Gates[ms.gate].Params[0] = 2 * params.Beta[ms.level]
+	}
 }
 
 // Skeleton is a routed, stitched QAOA circuit with symbolic angle slots:
@@ -181,15 +201,12 @@ type Skeleton struct {
 	n, p  int
 	terms []WeightedTerm
 
-	// circ and native are the sentinel-angle templates; Bind copies their
-	// gate slices and overwrites the slots, never mutating the templates.
-	circ, native         *circuit.Circuit
-	circCost, nativeCost []costSlot
-	circMix, nativeMix   []mixSlot
-
-	// optimize makes every bind run the peephole tail on the bound
-	// circuit; the templates themselves are never peepholed.
-	optimize bool
+	// circ and native are the routed and native templates; Bind copies
+	// their gates and overwrites the slots, never mutating the templates.
+	// An optimize skeleton has no native template: every bind runs the
+	// peephole tail on the bound circuit and lowers it afresh.
+	circ, native *template
+	optimize     bool
 
 	// initial and final are shared by reference with every bound Result;
 	// layouts are treated as immutable after compilation.
@@ -221,95 +238,51 @@ func (s *Skeleton) Fallback() *FallbackInfo { return s.fallback }
 // byte-identical circuit that a concrete compile with the same seed would
 // produce.
 func CompileSkeleton(ctx context.Context, ps ParamSpec, dev *device.Device, opts Options) (*Skeleton, error) {
+	// Validate before NewParams sizes anything by an unchecked P.
 	if err := ps.Validate(); err != nil {
+		return nil, err
+	}
+	spec, err := ps.Spec(qaoa.NewParams(ps.P))
+	if err != nil {
 		return nil, err
 	}
 	optimize := opts.Optimize
 	opts.Optimize = false
-	res, err := CompileSpecContext(ctx, ps.sentinelSpec(), dev, opts)
+	res, err := CompileSpecContext(ctx, spec, dev, opts)
 	if err != nil {
 		return nil, err
 	}
-	sk, err := newSkeleton(ps, res, opts.Obs)
+	sk, err := newSkeleton(ps, res, optimize, opts.Obs)
 	if err != nil {
 		return nil, err
 	}
-	sk.optimize = optimize
 	opts.Obs.Inc(obsv.CntSkeletonCompiles)
 	return sk, nil
 }
 
-// newSkeleton locates every sentinel in the routed circuits and freezes
+// newSkeleton reads the angle slots of the compiled circuits and freezes
 // the result into a bindable skeleton.
-func newSkeleton(ps ParamSpec, res *Result, obs *obsv.Collector) (*Skeleton, error) {
-	costIdx := make(map[float64]costSlot, ps.P*len(ps.Terms))
-	mixIdx := make(map[float64]int32, ps.P)
-	for l := 0; l < ps.P; l++ {
-		for k := range ps.Terms {
-			costIdx[ps.costSentinel(l, k)] = costSlot{level: int32(l), term: int32(k)}
-		}
-		// The pipeline emits the mixer as RX(2β), and U3 keeps the RX
-		// angle verbatim, so both circuits carry twice the sentinel.
-		mixIdx[2*ps.mixerSentinel(l)] = int32(l)
-	}
+func newSkeleton(ps ParamSpec, res *Result, optimize bool, obs *obsv.Collector) (*Skeleton, error) {
 	sk := &Skeleton{
 		n: ps.N, p: ps.P,
-		terms:   append([]WeightedTerm(nil), ps.Terms...),
-		circ:    res.Circuit,
-		native:  res.Native,
-		initial: res.Initial, final: res.Final,
+		terms:    append([]WeightedTerm(nil), ps.Terms...),
+		optimize: optimize,
+		initial:  res.Initial, final: res.Final,
 		swapCount: res.SwapCount, depth: res.Depth, gateCount: res.GateCount,
 		compileTime: res.CompileTime, mapTime: res.MapTime,
 		orderTime: res.OrderTime, routeTime: res.RouteTime,
 		obs: obs,
 	}
 	var err error
-	if sk.circCost, sk.circMix, err = scanSlots(res.Circuit, costIdx, mixIdx); err != nil {
-		return nil, fmt.Errorf("compile: skeleton scan of routed circuit: %w", err)
+	if sk.circ, err = ps.slotTemplate(res.Circuit); err != nil {
+		return nil, fmt.Errorf("compile: skeleton slots of routed circuit: %w", err)
 	}
-	if sk.nativeCost, sk.nativeMix, err = scanSlots(res.Native, costIdx, mixIdx); err != nil {
-		return nil, fmt.Errorf("compile: skeleton scan of native circuit: %w", err)
-	}
-	// Every slot of every level must surface in both circuits: a missing
-	// slot means a pass transformed an angle, which would bind silently
-	// wrong — fail loud instead.
-	want := ps.P * len(ps.Terms)
-	if len(sk.circCost) != want || len(sk.nativeCost) != want {
-		return nil, fmt.Errorf("compile: skeleton recovered %d/%d cost slots in the routed circuit and %d/%d in the native circuit", len(sk.circCost), want, len(sk.nativeCost), want)
-	}
-	if len(sk.circMix) != ps.P*ps.N || len(sk.nativeMix) != ps.P*ps.N {
-		return nil, fmt.Errorf("compile: skeleton recovered %d mixer slots in the routed circuit and %d in the native circuit, want %d", len(sk.circMix), len(sk.nativeMix), ps.P*ps.N)
-	}
-	return sk, nil
-}
-
-// scanSlots maps each parameterized gate of a template back to its angle
-// slot via the sentinel it carries. Any rotation whose angle is not a
-// known sentinel means the pipeline transformed an angle the skeleton
-// contract says it must carry verbatim.
-func scanSlots(c *circuit.Circuit, costIdx map[float64]costSlot, mixIdx map[float64]int32) ([]costSlot, []mixSlot, error) {
-	var costs []costSlot
-	var mixes []mixSlot
-	for i, g := range c.Gates {
-		switch g.Kind {
-		case circuit.CPhase, circuit.U1:
-			cs, ok := costIdx[g.Params[0]]
-			if !ok {
-				return nil, nil, fmt.Errorf("gate %d: %v carries phase %v, not a cost sentinel", i, g.Kind, g.Params[0])
-			}
-			cs.gate = int32(i)
-			costs = append(costs, cs)
-		case circuit.RX, circuit.U3:
-			l, ok := mixIdx[g.Params[0]]
-			if !ok {
-				return nil, nil, fmt.Errorf("gate %d: %v carries angle %v, not a mixer sentinel", i, g.Kind, g.Params[0])
-			}
-			mixes = append(mixes, mixSlot{gate: int32(i), level: l})
-		case circuit.RZ, circuit.RY:
-			return nil, nil, fmt.Errorf("gate %d: unexpected parameterized %v in a skeleton template", i, g.Kind)
+	if !optimize {
+		if sk.native, err = ps.slotTemplate(res.Native); err != nil {
+			return nil, fmt.Errorf("compile: skeleton slots of native circuit: %w", err)
 		}
 	}
-	return costs, mixes, nil
+	return sk, nil
 }
 
 // BindBuffer holds the reusable storage of a bind: the two materialized
@@ -346,10 +319,7 @@ func (s *Skeleton) BindTo(buf *BindBuffer, params qaoa.Params) (*Result, error) 
 	if params.P() != s.p {
 		return nil, fmt.Errorf("compile: binding %d-level params on a %d-level skeleton", params.P(), s.p) //lint:allow hotpath: guarded cold error path
 	}
-	buf.circ.NQubits = s.circ.NQubits
-	//lint:allow hotpath: high-water reuse — the copy grows buf once, then binds are allocation-free (BenchmarkSkeletonBindTo)
-	buf.circ.Gates = append(buf.circ.Gates[:0], s.circ.Gates...)
-	writeSlots(buf.circ.Gates, s.circCost, s.circMix, s.terms, params)
+	s.circ.bindInto(&buf.circ, s.terms, params)
 	buf.res = Result{
 		Circuit: &buf.circ, Native: &buf.native,
 		Initial: s.initial, Final: s.final,
@@ -362,26 +332,8 @@ func (s *Skeleton) BindTo(buf *BindBuffer, params qaoa.Params) (*Result, error) 
 		//lint:allow hotpath: Optimize skeletons only — peephole is angle-dependent, so it reruns per bind; the zero-alloc contract covers the plain bind
 		buf.res.lower(true)
 	} else {
-		buf.native.NQubits = s.native.NQubits
-		//lint:allow hotpath: high-water reuse — the copy grows buf once, then binds are allocation-free (BenchmarkSkeletonBindTo)
-		buf.native.Gates = append(buf.native.Gates[:0], s.native.Gates...)
-		writeSlots(buf.native.Gates, s.nativeCost, s.nativeMix, s.terms, params)
+		s.native.bindInto(&buf.native, s.terms, params)
 	}
 	s.obs.Inc(obsv.CntCompileBinds)
 	return &buf.res, nil
-}
-
-// writeSlots overwrites the angle slots of a materialized gate list with
-// the concrete angles, using exactly the arithmetic the concrete pipeline
-// uses (−γ[l]·w cost phases, 2β[l] mixer rotations) so equality is
-// bitwise, not just numeric.
-//
-//qaoa:hotpath
-func writeSlots(gates []circuit.Gate, costs []costSlot, mixes []mixSlot, terms []WeightedTerm, params qaoa.Params) {
-	for _, cs := range costs {
-		gates[cs.gate].Params[0] = -params.Gamma[cs.level] * terms[cs.term].Weight
-	}
-	for _, ms := range mixes {
-		gates[ms.gate].Params[0] = 2 * params.Beta[ms.level]
-	}
 }

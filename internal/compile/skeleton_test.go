@@ -43,10 +43,10 @@ func requireSameResult(t *testing.T, label string, got, want *Result) {
 }
 
 // sameGateBits compares gate lists bit for bit: angles by their IEEE
-// encoding, so NaN phases and the sign of zero count too.
+// encoding, so NaN phases and the sign of zero count too, and angle slots.
 func sameGateBits(a, b []circuit.Gate) bool {
 	return slices.EqualFunc(a, b, func(x, y circuit.Gate) bool {
-		if x.Kind != y.Kind || x.Q0 != y.Q0 || x.Q1 != y.Q1 {
+		if x.Kind != y.Kind || x.Slot != y.Slot || x.Q0 != y.Q0 || x.Q1 != y.Q1 {
 			return false
 		}
 		for i := range x.Params {
@@ -290,11 +290,52 @@ func TestParamSpecValidate(t *testing.T) {
 		{N: 3, P: 0},
 		{N: 3, P: 1, Terms: []WeightedTerm{{U: 0, V: 3, Weight: 1}}},
 		{N: 3, P: 1, Terms: []WeightedTerm{{U: 1, V: 1, Weight: 1}}},
+		{N: 3, P: 1 << 30, Terms: []WeightedTerm{{U: 0, V: 1, Weight: 1}}}, // P·(T+1) = 2^31 slots
 	}
 	for i, ps := range cases {
 		if err := ps.Validate(); err == nil {
 			t.Errorf("case %d: Validate() accepted invalid spec %+v", i, ps)
 		}
+	}
+}
+
+// A template whose slot tags do not account for every angle exactly once
+// per gate it belongs on must be refused, not bound silently wrong: a
+// native U1 that lost its tag, and a mixer tag copied onto an untagged
+// gate of the routed circuit.
+func TestNewSkeletonRejectsBrokenTemplates(t *testing.T) {
+	g := graphs.MustRandomRegular(6, 3, rand.New(rand.NewSource(8)))
+	ps, err := ParamSpecFromMaxCut(mustProblem(t, g), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ps.Spec(qaoa.NewParams(ps.P))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := CompileSpecContext(context.Background(), spec, device.Melbourne15(), PresetIC.Options(rand.New(rand.NewSource(4))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := newSkeleton(ps, res, false, nil); err != nil {
+		t.Fatalf("intact templates refused: %v", err)
+	}
+
+	clearedU1 := *res
+	clearedU1.Native = res.Native.Clone()
+	u1 := slices.IndexFunc(clearedU1.Native.Gates, func(g circuit.Gate) bool { return g.Kind == circuit.U1 && g.Slot != 0 })
+	clearedU1.Native.Gates[u1].Slot = 0
+	if _, err := newSkeleton(ps, &clearedU1, false, nil); err == nil {
+		t.Error("native template with an untagged U1 accepted")
+	}
+
+	dupMixer := *res
+	dupMixer.Circuit = res.Circuit.Clone()
+	rx := slices.IndexFunc(dupMixer.Circuit.Gates, func(g circuit.Gate) bool { return g.Kind == circuit.RX })
+	h := slices.IndexFunc(dupMixer.Circuit.Gates, func(g circuit.Gate) bool { return g.Kind == circuit.H })
+	dupMixer.Circuit.Gates[h].Slot = dupMixer.Circuit.Gates[rx].Slot
+	if _, err := newSkeleton(ps, &dupMixer, false, nil); err == nil {
+		t.Error("routed template with a duplicated mixer tag accepted")
 	}
 }
 

@@ -3,6 +3,7 @@ package compile
 import (
 	"fmt"
 
+	"repro/internal/circuit"
 	"repro/internal/graphs"
 	"repro/internal/qaoa"
 )
@@ -12,6 +13,9 @@ import (
 type ZZTerm struct {
 	U, V  int
 	Theta float64
+	// slot is the angle slot the CPhase is tagged with (circuit.Gate.Slot);
+	// only ParamSpec.Spec sets it.
+	slot int32
 }
 
 // LevelSpec describes one QAOA level of a generic commuting cost
@@ -22,6 +26,19 @@ type LevelSpec struct {
 	ZZ        []ZZTerm
 	Local     []float64
 	MixerBeta float64
+	// mixerSlot tags the level's mixer RX gates, like ZZTerm.slot.
+	mixerSlot int32
+}
+
+// gate returns the term's CPhase, tagged with its angle slot.
+func (t ZZTerm) gate() circuit.Gate {
+	return circuit.Gate{Kind: circuit.CPhase, Slot: t.slot, Q0: t.U, Q1: t.V, Params: [3]float64{t.Theta}}
+}
+
+// mixer returns the level's mixer rotation RX(2β) on qubit q, tagged with
+// its angle slot.
+func (l LevelSpec) mixer(q int) circuit.Gate {
+	return circuit.Gate{Kind: circuit.RX, Slot: l.mixerSlot, Q0: q, Q1: -1, Params: [3]float64{2 * l.MixerBeta}}
 }
 
 // Spec is a compiler-facing description of a full QAOA circuit for an

@@ -329,8 +329,8 @@ func TestHardwareEvaluatorSkeletonDeterministic(t *testing.T) {
 }
 
 // The whole point of the skeleton: a multi-evaluation loop pays for one
-// pipeline run. compile/compilations counts the skeleton's sentinel
-// compile only, and compile/binds counts every evaluation.
+// pipeline run. compile/compilations counts the skeleton's one compile
+// only, and compile/binds counts every evaluation.
 func TestHardwareEvaluatorCompilesOnceBindsPerEval(t *testing.T) {
 	g := graphs.MustRandomRegular(8, 3, rand.New(rand.NewSource(14)))
 	prob, err := qaoa.NewMaxCut(g)
