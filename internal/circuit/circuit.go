@@ -2,7 +2,7 @@ package circuit
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Circuit is an ordered gate list over a register of NQubits qubits.
@@ -214,12 +214,14 @@ func (c *Circuit) MeasureAll() *Circuit {
 }
 
 // String renders the circuit one gate per line in OpenQASM-like syntax.
+// The buffer is sized for a typical native gate line, so a compiled
+// circuit renders with one or two allocations.
 func (c *Circuit) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "qreg q[%d];\n", c.NQubits)
+	b := make([]byte, 0, 16+24*len(c.Gates))
+	b = strconv.AppendInt(append(b, "qreg q["...), int64(c.NQubits), 10)
+	b = append(b, "];\n"...)
 	for _, g := range c.Gates {
-		b.WriteString(g.String())
-		b.WriteString(";\n")
+		b = append(g.appendText(b), ";\n"...)
 	}
-	return b.String()
+	return string(b)
 }

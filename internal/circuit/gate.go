@@ -10,6 +10,7 @@ package circuit
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Kind enumerates the gate set understood by the IR, the router and the
@@ -39,7 +40,7 @@ const (
 	Barrier
 )
 
-var kindNames = map[Kind]string{
+var kindNames = [...]string{
 	Invalid: "invalid",
 	H:       "h",
 	X:       "x",
@@ -61,10 +62,10 @@ var kindNames = map[Kind]string{
 
 // String returns the lowercase OpenQASM-style mnemonic.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
-	return fmt.Sprintf("kind(%d)", int(k))
+	return "kind(" + strconv.Itoa(int(k)) + ")"
 }
 
 // Arity returns the number of qubits the kind acts on (Barrier is treated
@@ -162,25 +163,36 @@ func (g Gate) IsDiagonal() bool {
 }
 
 // String renders the gate OpenQASM-style, e.g. "zz(0.78540) q[1],q[4]".
-func (g Gate) String() string {
-	s := g.Kind.String()
+func (g Gate) String() string { return string(g.appendText(make([]byte, 0, 32))) }
+
+// appendText appends the String rendering of g to b: parameters to five
+// decimals, then the operand qubits.
+func (g Gate) appendText(b []byte) []byte {
+	b = append(b, g.Kind.String()...)
 	if n := g.Kind.NumParams(); n > 0 {
-		s += "("
+		b = append(b, '(')
 		for i := 0; i < n; i++ {
 			if i > 0 {
-				s += ","
+				b = append(b, ',')
 			}
-			s += fmt.Sprintf("%.5f", g.Params[i])
+			b = strconv.AppendFloat(b, g.Params[i], 'f', 5, 64)
 		}
-		s += ")"
+		b = append(b, ')')
 	}
 	switch g.Arity() {
 	case 1:
-		s += fmt.Sprintf(" q[%d]", g.Q0)
+		b = appendQubit(append(b, ' '), g.Q0)
 	case 2:
-		s += fmt.Sprintf(" q[%d],q[%d]", g.Q0, g.Q1)
+		b = appendQubit(append(b, ' '), g.Q0)
+		b = appendQubit(append(b, ','), g.Q1)
 	}
-	return s
+	return b
+}
+
+// appendQubit appends the operand "q[i]".
+func appendQubit(b []byte, q int) []byte {
+	b = strconv.AppendInt(append(b, "q["...), int64(q), 10)
+	return append(b, ']')
 }
 
 // Constructors.

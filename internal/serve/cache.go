@@ -14,26 +14,21 @@ import (
 	"repro/internal/trace"
 )
 
-// outcome is one compiled artifact: the immutable payload a cache entry
-// holds and every waiter of a flight receives. Nothing in it is ever
-// mutated after construction, which is what makes "byte-identical circuits
-// to all waiters" a structural guarantee rather than a test-only
-// observation.
+// outcome is one served artifact: the finished response body, plus the
+// compile facts the request record reports. A full-tier cache entry holds
+// it and a hit writes body as is, so a cached request encodes nothing.
+// Nothing in it is ever mutated after it is stored, which is what makes
+// "byte-identical circuits to every request with the same key" a
+// structural guarantee rather than a test-only observation.
 type outcome struct {
-	circuitText string
-	qasm        string
-	swaps       int
-	depth       int
-	gates       int
-	initial     []int
-	final       []int
-	effective   string
-	requested   string
-	degraded    bool
-	degradedWhy string
-	attempts    int
-	deviceName  string
-	deviceID    string
+	// body is the encoded CompileResponse, the bytes writeJSON would write
+	// for it. A stored outcome's body says cached:true and carries no QASM.
+	body      []byte
+	swaps     int
+	depth     int
+	gates     int
+	effective string
+	attempts  int
 	// Observability facts of the compile that produced the artifact: how
 	// far the fallback ladder descended and the per-pass durations, surfaced
 	// on wide-event lines and inspector records (cache hits report the
@@ -42,7 +37,6 @@ type outcome struct {
 	mapTime       time.Duration
 	orderTime     time.Duration
 	routeTime     time.Duration
-	compileTime   time.Duration
 	// trace holds the compile's decision-level events when the server runs
 	// with Config.TraceRequests; nil otherwise.
 	trace []trace.Event
@@ -70,7 +64,7 @@ type cacheCounters struct {
 // lru is a mutex-guarded LRU keyed by the canonical request hash. Each
 // entry remembers its deviceID so calibration reloads can invalidate
 // exactly the entries of the affected device revision. The server runs two
-// tiers: the full-key tier holds immutable compiled outcomes, the
+// tiers: the full-key tier holds immutable encoded outcomes, the
 // angle-free tier holds routed skeletons.
 type lru[V any] struct {
 	mu    sync.Mutex

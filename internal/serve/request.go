@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -73,7 +75,7 @@ type ConfigDoc struct {
 	// never abort a compilation other waiters still want (see DESIGN §10).
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// EmitQASM includes the OpenQASM 2.0 export of the native circuit in
-	// the response.
+	// the response. The export is made per request, from a skeleton bind.
 	EmitQASM bool `json:"emit_qasm,omitempty"`
 }
 
@@ -83,8 +85,12 @@ type CompileResponse struct {
 	// CacheKey identifies the compiled artifact: requests with equal keys
 	// receive byte-identical circuits.
 	CacheKey string `json:"cache_key"`
-	// Cached is true when the result was served from the compiled-circuit
-	// cache (including singleflight waiters of the same flight).
+	// Cached is true when the result was served from a cache tier: the
+	// stored response of the full-key tier, or a bind of a cached routed
+	// skeleton. Every caller of a compile flight, leader and singleflight
+	// waiters alike, gets false. An emit_qasm request never reads the
+	// full-key tier (stored responses carry no QASM): it binds from the
+	// skeleton tier, or compiles when its skeleton is not cached.
 	Cached bool   `json:"cached"`
 	Device string `json:"device"`
 	// PresetRequested and PresetEffective record graceful degradation: they
@@ -167,7 +173,7 @@ func (s *Server) parseRequest(req *CompileRequest) (*parsedRequest, error) {
 		}
 		p.dev = dev
 		p.devName = req.DeviceName
-		p.deviceID = fmt.Sprintf("%s@%d", req.DeviceName, epoch)
+		p.deviceID = req.DeviceName + "@" + strconv.FormatInt(epoch, 10)
 	default:
 		return nil, fmt.Errorf("one of device or device_name is required")
 	}
@@ -251,14 +257,12 @@ func (s *Server) parseRequest(req *CompileRequest) (*parsedRequest, error) {
 		}
 		canon[i] = wedge{u, v, w}
 	}
-	sort.Slice(canon, func(a, b int) bool {
-		if canon[a].u != canon[b].u {
-			return canon[a].u < canon[b].u
+	// Equal (u,v) pairs are rejected below, so (u,v) orders canon fully.
+	slices.SortFunc(canon, func(a, b wedge) int {
+		if c := cmp.Compare(a.u, b.u); c != 0 {
+			return c
 		}
-		if canon[a].v != canon[b].v {
-			return canon[a].v < canon[b].v
-		}
-		return canon[a].w < canon[b].w
+		return cmp.Compare(a.v, b.v)
 	})
 	for i := 1; i < len(canon); i++ {
 		if canon[i].u == canon[i-1].u && canon[i].v == canon[i-1].v {
@@ -278,27 +282,48 @@ func (s *Server) parseRequest(req *CompileRequest) (*parsedRequest, error) {
 	}
 
 	// Cache key: canonical graph hash × device(+epoch) × preset × config.
-	h := sha256.New()
-	fmt.Fprintf(h, "dev=%s\npreset=%s\nseed=%d\npacking=%d\noptimize=%t\nn=%d\np=%d\n",
-		p.deviceID, p.preset, p.seed, p.packing, p.optimize, c.N, levels)
+	// The preimage is a header, one line per level's angles, and one line
+	// per term; the skeleton-tier key hashes a "skeleton" marker, the header
+	// and the term lines, so it is the full key minus the angles and the two
+	// keyspaces can never collide. Floats render as the shortest 'g' form.
+	hdr := make([]byte, 0, 96+len(p.deviceID))
+	hdr = append(append(hdr, "dev="...), p.deviceID...)
+	hdr = append(append(hdr, "\npreset="...), p.preset.String()...)
+	hdr = strconv.AppendInt(append(hdr, "\nseed="...), p.seed, 10)
+	hdr = strconv.AppendInt(append(hdr, "\npacking="...), int64(p.packing), 10)
+	hdr = strconv.AppendBool(append(hdr, "\noptimize="...), p.optimize)
+	hdr = strconv.AppendInt(append(hdr, "\nn="...), int64(c.N), 10)
+	hdr = strconv.AppendInt(append(hdr, "\np="...), int64(levels), 10)
+	hdr = append(hdr, '\n')
+	angles := make([]byte, 0, 48*levels)
 	for l := 0; l < levels; l++ {
-		fmt.Fprintf(h, "level=%d gamma=%g beta=%g\n", l, gamma[l], beta[l])
+		angles = strconv.AppendInt(append(angles, "level="...), int64(l), 10)
+		angles = strconv.AppendFloat(append(angles, " gamma="...), gamma[l], 'g', -1, 64)
+		angles = strconv.AppendFloat(append(angles, " beta="...), beta[l], 'g', -1, 64)
+		angles = append(angles, '\n')
 	}
+	terms := make([]byte, 0, 16*len(canon))
 	for _, e := range canon {
-		fmt.Fprintf(h, "%d %d %g\n", e.u, e.v, e.w)
+		terms = strconv.AppendInt(terms, int64(e.u), 10)
+		terms = strconv.AppendInt(append(terms, ' '), int64(e.v), 10)
+		terms = strconv.AppendFloat(append(terms, ' '), e.w, 'g', -1, 64)
+		terms = append(terms, '\n')
 	}
-	p.key = hex.EncodeToString(h.Sum(nil))
-
-	// Skeleton-tier key: the full key's layout minus the angle lines, plus a
-	// marker so the two keyspaces can never collide.
-	h = sha256.New()
-	fmt.Fprintf(h, "skeleton\ndev=%s\npreset=%s\nseed=%d\npacking=%d\noptimize=%t\nn=%d\np=%d\n",
-		p.deviceID, p.preset, p.seed, p.packing, p.optimize, c.N, levels)
-	for _, e := range canon {
-		fmt.Fprintf(h, "%d %d %g\n", e.u, e.v, e.w)
-	}
-	p.skelKey = hex.EncodeToString(h.Sum(nil))
+	p.key = hashKey(hdr, angles, terms)
+	p.skelKey = hashKey([]byte("skeleton\n"), hdr, terms)
 	return p, nil
+}
+
+// hashKey returns the hex SHA-256 of the concatenated parts.
+func hashKey(parts ...[]byte) string {
+	h := sha256.New()
+	for _, b := range parts {
+		h.Write(b)
+	}
+	var sum [sha256.Size]byte
+	var text [2 * sha256.Size]byte
+	hex.Encode(text[:], h.Sum(sum[:0]))
+	return string(text[:])
 }
 
 // deviceFingerprint hashes the canonical JSON serialization of dev —

@@ -25,6 +25,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -388,13 +389,17 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		rec.Preset = rs.rec.Preset
 	})
 
-	if out, ok := s.cache.get(p.key); ok {
-		s.obs.Inc(obsv.CntServeOK)
-		rs.rec.CacheHit = true
-		rs.fillOutcome(out)
-		writeJSON(w, http.StatusOK, buildResponse(p, out, true))
-		s.finishRequest(rs, http.StatusOK, "ok", "")
-		return
+	// Full-key tier: the stored response, written as is. An emit_qasm
+	// request skips it — stored bodies carry no QASM — and binds below.
+	if !p.emitQASM {
+		if out, ok := s.cache.get(p.key); ok {
+			s.obs.Inc(obsv.CntServeOK)
+			rs.rec.CacheHit = true
+			rs.fillOutcome(out)
+			writeBody(w, http.StatusOK, out.body)
+			s.finishRequest(rs, http.StatusOK, "ok", "")
+			return
+		}
 	}
 
 	// Skeleton tier: a full-key miss with a cached routed skeleton for the
@@ -402,19 +407,21 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// costs microseconds, not a routing pass. The bound outcome fills the
 	// full-key tier so the exact-angle repeat is a first-tier hit.
 	if se, ok := s.skels.get(p.skelKey); ok {
-		out, err := s.bindOutcome(p, se)
+		out, _, err := s.bindOutcome(p, se, true)
 		if err != nil {
 			s.obs.Inc(obsv.CntServeErrors)
 			writeJSON(w, http.StatusInternalServerError, ErrorResponse{Status: "error", Kind: "compile_failed", Error: err.Error()})
 			s.finishRequest(rs, http.StatusInternalServerError, "compile_failed", err.Error())
 			return
 		}
-		s.cache.put(p.key, p.deviceID, out)
+		if !p.emitQASM {
+			s.cache.put(p.key, p.deviceID, out)
+		}
 		s.obs.Inc(obsv.CntServeOK)
 		rs.rec.CacheHit = true
 		rs.rec.SkeletonHit = true
 		rs.fillOutcome(out)
-		writeJSON(w, http.StatusOK, buildResponse(p, out, true))
+		writeBody(w, http.StatusOK, out.body)
 		s.finishRequest(rs, http.StatusOK, "ok", "")
 		return
 	}
@@ -536,19 +543,24 @@ func (s *Server) respondFlight(w http.ResponseWriter, p *parsedRequest, f *fligh
 	switch {
 	case f.err == nil:
 		// This waiter binds its own angles — possibly different from every
-		// other waiter's — and caches the bound outcome under its own full
-		// key.
-		out, err := s.bindOutcome(p, f.skel)
+		// other waiter's — and answers cached:false. Unless it asked for
+		// QASM, it stores the cached:true encoding under its own full key.
+		out, resp, err := s.bindOutcome(p, f.skel, false)
 		if err != nil {
 			s.obs.Inc(obsv.CntServeErrors)
 			writeJSON(w, http.StatusInternalServerError, ErrorResponse{Status: "error", Kind: "compile_failed", Error: err.Error()})
 			s.finishRequest(rs, http.StatusInternalServerError, "compile_failed", err.Error())
 			return
 		}
-		s.cache.put(p.key, p.deviceID, out)
+		body := out.body
+		if !p.emitQASM {
+			resp.Cached = true
+			out.body = encodeJSON(resp)
+			s.cache.put(p.key, p.deviceID, out)
+		}
 		s.obs.Inc(obsv.CntServeOK)
 		rs.fillOutcome(out)
-		writeJSON(w, http.StatusOK, buildResponse(p, out, false))
+		writeBody(w, http.StatusOK, body)
 		s.finishRequest(rs, http.StatusOK, "ok", "")
 	case errors.Is(f.err, errShed):
 		s.obs.Inc(obsv.CntServeShed)
@@ -645,23 +657,70 @@ func (s *Server) runFlight(p *parsedRequest, f *flight, reqID string) {
 }
 
 // bindBufs pools bind buffers across requests: a bind writes the angles
-// into a reused preallocated gate buffer, and buildOutcome copies
+// into a reused preallocated gate buffer, and bindOutcome renders
 // everything it keeps, so the buffer is safe to recycle as soon as the
-// outcome is built.
+// response is built.
 var bindBufs = sync.Pool{New: func() any { return new(compile.BindBuffer) }}
 
 // bindOutcome materializes one request's angles over a cached routed
-// skeleton and freezes the result into an immutable outcome — the
-// skeleton-tier equivalent of a compile flight, minus all the routing work.
-func (s *Server) bindOutcome(p *parsedRequest, se *skelEntry) (*outcome, error) {
+// skeleton — the skeleton-tier equivalent of a compile flight, minus all
+// the routing work — and builds the response while the pooled buffer is
+// still borrowed.
+func (s *Server) bindOutcome(p *parsedRequest, se *skelEntry, cached bool) (*outcome, *CompileResponse, error) {
 	buf := bindBufs.Get().(*compile.BindBuffer)
 	defer bindBufs.Put(buf)
 	res, err := se.skel.BindTo(buf, qaoa.Params{Gamma: p.gamma, Beta: p.beta})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	//lint:allow poolsafe: buildOutcome deep-copies everything it keeps (strings, fresh layout slices); nothing in the outcome aliases buf — TestBindOutcomeCopiesPooledBuffer guards this
-	return buildOutcome(p, res, se.start, se.rerouted, se.trace), nil
+	out, resp := newOutcome(p, se, res, cached)
+	//lint:allow poolsafe: newOutcome renders the circuit to a fresh string, copies the layouts into fresh slices and keeps only that document's encoding plus scalars; nothing returned aliases buf — TestBindOutcomeCopiesPooledBuffer guards this
+	return out, resp, nil
+}
+
+// newOutcome builds the response document for a bound result, exporting
+// QASM only when the request asks for it, and returns it with an outcome
+// whose body is its encoding under the given cached flag.
+func newOutcome(p *parsedRequest, se *skelEntry, res *compile.Result, cached bool) (*outcome, *CompileResponse) {
+	resp := &CompileResponse{
+		Status:          "ok",
+		CacheKey:        p.key,
+		Cached:          cached,
+		Device:          p.devName,
+		PresetRequested: p.preset.String(),
+		PresetEffective: res.Fallback.Effective.String(),
+		Degraded:        se.rerouted || res.Fallback.Degraded,
+		Attempts:        len(res.Fallback.Attempts),
+		Swaps:           res.SwapCount,
+		Depth:           res.Depth,
+		Gates:           res.GateCount,
+		InitialLayout:   layoutSlice(res.Initial),
+		FinalLayout:     layoutSlice(res.Final),
+		Circuit:         res.Circuit.String(),
+	}
+	switch {
+	case res.Fallback.Degraded && res.Fallback.Reason != "":
+		resp.DegradedReason = res.Fallback.Reason
+	case se.rerouted:
+		resp.DegradedReason = fmt.Sprintf("circuit breaker open for %s; started at %s", p.preset, se.start)
+	}
+	if p.emitQASM {
+		resp.QASM = qasm.Export(res.Native)
+	}
+	out := &outcome{
+		body:          encodeJSON(resp),
+		swaps:         res.SwapCount,
+		depth:         res.Depth,
+		gates:         res.GateCount,
+		effective:     resp.PresetEffective,
+		attempts:      resp.Attempts,
+		fallbackDepth: fallbackDepth(res.Fallback.Attempts),
+		mapTime:       res.MapTime,
+		orderTime:     res.OrderTime,
+		routeTime:     res.RouteTime,
+		trace:         se.trace,
+	}
+	return out, resp
 }
 
 // attemptsOf extracts the failed-attempt list from a compile's fallback
@@ -680,39 +739,6 @@ func attemptsOf(fb *compile.FallbackInfo, err error, start compile.Preset) []com
 		return []compile.Attempt{{Preset: start, Err: err.Error()}}
 	}
 	return nil
-}
-
-// buildOutcome freezes a compile result into the immutable cached
-// artifact.
-func buildOutcome(p *parsedRequest, res *compile.Result, start compile.Preset, rerouted bool, trEvents []trace.Event) *outcome {
-	out := &outcome{
-		circuitText:   res.Circuit.String(),
-		qasm:          qasm.Export(res.Native),
-		swaps:         res.SwapCount,
-		depth:         res.Depth,
-		gates:         res.GateCount,
-		initial:       layoutSlice(res.Initial),
-		final:         layoutSlice(res.Final),
-		requested:     p.preset.String(),
-		effective:     res.Fallback.Effective.String(),
-		deviceName:    p.devName,
-		deviceID:      p.deviceID,
-		attempts:      len(res.Fallback.Attempts),
-		fallbackDepth: fallbackDepth(res.Fallback.Attempts),
-		mapTime:       res.MapTime,
-		orderTime:     res.OrderTime,
-		routeTime:     res.RouteTime,
-		compileTime:   res.CompileTime,
-		trace:         trEvents,
-	}
-	out.degraded = rerouted || res.Fallback.Degraded
-	switch {
-	case res.Fallback.Degraded && res.Fallback.Reason != "":
-		out.degradedWhy = res.Fallback.Reason
-	case rerouted:
-		out.degradedWhy = fmt.Sprintf("circuit breaker open for %s; started at %s", p.preset, start)
-	}
-	return out
 }
 
 // fallbackDepth counts how many rungs of the degradation ladder the
@@ -738,30 +764,6 @@ func layoutSlice(l interface {
 		out[q] = l.Phys(q)
 	}
 	return out
-}
-
-func buildResponse(p *parsedRequest, out *outcome, cached bool) CompileResponse {
-	resp := CompileResponse{
-		Status:          "ok",
-		CacheKey:        p.key,
-		Cached:          cached,
-		Device:          out.deviceName,
-		PresetRequested: out.requested,
-		PresetEffective: out.effective,
-		Degraded:        out.degraded,
-		DegradedReason:  out.degradedWhy,
-		Attempts:        out.attempts,
-		Swaps:           out.swaps,
-		Depth:           out.depth,
-		Gates:           out.gates,
-		InitialLayout:   out.initial,
-		FinalLayout:     out.final,
-		Circuit:         out.circuitText,
-	}
-	if p.emitQASM {
-		resp.QASM = out.qasm
-	}
-	return resp
 }
 
 // handleCalibration accepts a full device document (the same schema as an
@@ -852,9 +854,22 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
+	writeBody(w, code, encodeJSON(v))
+}
+
+// encodeJSON renders v the way every qaoad response is written: two-space
+// indent, HTML escaping on, trailing newline.
+func encodeJSON(v any) []byte {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
+	return b.Bytes()
+}
+
+// writeBody writes an encoded JSON document as the response.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(body)
 }

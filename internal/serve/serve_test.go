@@ -873,9 +873,9 @@ func TestDistinctAngleSingleflight(t *testing.T) {
 // The skeleton tier binds every request's angles into one pooled
 // BindBuffer, so an outcome must not alias the buffer: the next bind
 // overwrites it. bindOutcome's contract (and its //lint:allow poolsafe
-// escape) is that buildOutcome deep-copies everything it keeps — this
-// test rebinds with different angles and asserts the first outcome is
-// bitwise untouched.
+// escape) is that everything it returns is rendered or copied out of the
+// buffer — this test rebinds with different angles and asserts the first
+// outcome's stored body and its response document are bitwise untouched.
 func TestBindOutcomeCopiesPooledBuffer(t *testing.T) {
 	s, ts, _ := newTestServer(t, Config{})
 	if st, _, _ := postCompile(t, ts.URL, angleRequest("tokyo", 6, 3, "IC", []float64{0.1}, []float64{0.2})); st != http.StatusOK {
@@ -897,33 +897,36 @@ func TestBindOutcomeCopiesPooledBuffer(t *testing.T) {
 		t.Fatalf("skeleton entry not cached under %q", p1.skelKey)
 	}
 
-	out1, err := s.bindOutcome(p1, se)
+	out1, resp1, err := s.bindOutcome(p1, se, true)
 	if err != nil {
 		t.Fatalf("first bind: %v", err)
 	}
-	circuit1 := out1.circuitText
-	qasm1 := out1.qasm
-	initial1 := append([]int(nil), out1.initial...)
-	final1 := append([]int(nil), out1.final...)
+	body1 := bytes.Clone(out1.body)
+	circuit1 := resp1.Circuit
+	initial1 := append([]int(nil), resp1.InitialLayout...)
+	final1 := append([]int(nil), resp1.FinalLayout...)
 
-	out2, err := s.bindOutcome(p2, se)
+	out2, resp2, err := s.bindOutcome(p2, se, true)
 	if err != nil {
 		t.Fatalf("second bind: %v", err)
 	}
-	if out2.circuitText == circuit1 {
+	if resp2.Circuit == circuit1 || bytes.Equal(out2.body, body1) {
 		t.Fatal("distinct angles bound to identical circuits; the test is not exercising a rebind")
 	}
-	if out1.circuitText != circuit1 || out1.qasm != qasm1 {
-		t.Error("first outcome's circuit changed after the pooled buffer was rebound")
+	if !bytes.Equal(out1.body, body1) {
+		t.Error("first outcome's stored body changed after the pooled buffer was rebound")
+	}
+	if resp1.Circuit != circuit1 {
+		t.Error("first response's circuit changed after the pooled buffer was rebound")
 	}
 	for i := range initial1 {
-		if out1.initial[i] != initial1[i] {
-			t.Fatalf("first outcome's initial layout changed after rebind at %d", i)
+		if resp1.InitialLayout[i] != initial1[i] {
+			t.Fatalf("first response's initial layout changed after rebind at %d", i)
 		}
 	}
 	for i := range final1 {
-		if out1.final[i] != final1[i] {
-			t.Fatalf("first outcome's final layout changed after rebind at %d", i)
+		if resp1.FinalLayout[i] != final1[i] {
+			t.Fatalf("first response's final layout changed after rebind at %d", i)
 		}
 	}
 }
